@@ -13,9 +13,9 @@ from .dsp import (AudioClip, StftConfig, apply_mask, band_mask, load_wav,
                   log_spectral_distance, stft_magnitude, stft_power)
 from .errors import (DataFormatError, NumericalError, PofError,
                      UnsupportedFormatError, ValidationError)
-from .estep import (ElboWorkspace, FrameResult, default_posterior_init,
-                    dump_posteriors, elbo, elbo_grad, floor_observations,
-                    infer_frame, infer_frames)
+from .estep import (FrameResult, default_posterior_init, dump_posteriors,
+                    elbo, elbo_grad, floor_observations, infer_frame,
+                    infer_frames)
 from .features import (FeatureMatrix, add_deltas, load_features_csv,
                        median_smooth, mfcc, pofc, save_features_csv)
 from .model import (BandMask, FramePosterior, ModelMeta, PoFModel, Spectrogram,

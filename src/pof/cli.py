@@ -248,7 +248,7 @@ def cmd_eval_lsd(args) -> int:
     a = load_spectrogram(args.a)
     b = load_spectrogram(args.b)
     mask = None
-    if args.low is not None or args.high is not None:
+    if args.low_hz is not None or args.high_hz is not None:
         mask = band_mask(a.n_bins, a.sample_rate, a.n_fft,
                          cfg["low_hz"], cfg["high_hz"])
     print(log_spectral_distance(a, b, mask))

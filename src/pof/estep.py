@@ -12,8 +12,8 @@ part of the objective rather than a constraint).
 
 Optimization runs over (log nu, log rho) with L-BFGS; positivity comes for
 free and the -inf barrier keeps rho away from the -min_f U_fl boundary.
-Frames are independent, so inference over a spectrogram is an
-embarrassingly parallel map that is bit-reproducible for any thread count.
+Frames are independent, so inference over a spectrogram is a map over
+frames whose result is bit-reproducible for any thread count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .optim import LbfgsConfig, minimize
 from .specfn import _digamma, _ln_gamma, _trigamma
 
 __all__ = [
-    "ElboWorkspace",
     "FrameResult",
     "elbo",
     "elbo_grad",
@@ -52,15 +51,6 @@ INIT_SHAPE = 100.0
 INIT_RATE = 100.0
 
 _STREAM_EINIT = 0xE1
-
-
-@dataclass
-class ElboWorkspace:
-    """Shared subexpressions of one (w, model, posterior) evaluation."""
-
-    log_mgf_sums: np.ndarray   # (F,) sum_l log E[exp(-U_fl a_l)]
-    expect_a: np.ndarray       # (L,) nu / rho
-    expect_log_a: np.ndarray   # (L,) psi(nu) - log rho
 
 
 @dataclass
@@ -154,51 +144,20 @@ class _FrameProblem:
         return value, d_nu, d_rho
 
 
-def _elbo_impl(w, U, alpha, gamma, nu, rho, want_grad: bool):
-    value, d_nu, d_rho = _FrameProblem(w, _ModelView(U, alpha, gamma)).value_and_grad(
-        nu, rho, want_grad
-    )
-    return value, d_nu, d_rho
-
-
-class _ModelView:
-    """Duck-typed stand-in so _FrameProblem can wrap raw arrays."""
-
-    def __init__(self, U, alpha, gamma):
-        self.U = U
-        self.alpha = alpha
-        self.gamma = gamma
-
-
 def elbo(w, model: PoFModel, post: FramePosterior) -> float:
     """Variational lower bound for one frame; -inf iff some U_fl <= -rho_l."""
     w = _check_frame(w, model)
-    value, _, _ = _elbo_impl(w, model.U, model.alpha, model.gamma, post.nu, post.rho, False)
+    value, _, _ = _FrameProblem(w, model).value_and_grad(post.nu, post.rho, False)
     return value
 
 
 def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (d/d nu, d/d rho) of the bound at a feasible point."""
     w = _check_frame(w, model)
-    value, d_nu, d_rho = _elbo_impl(
-        w, model.U, model.alpha, model.gamma, post.nu, post.rho, True
-    )
+    value, d_nu, d_rho = _FrameProblem(w, model).value_and_grad(post.nu, post.rho, True)
     if not math.isfinite(value):
         raise NumericalError("gradient requested at an infeasible point")
     return d_nu, d_rho
-
-
-def elbo_workspace(w, model: PoFModel, post: FramePosterior) -> ElboWorkspace:
-    """Cacheable subexpressions shared by the bound and its gradients."""
-    w = _check_frame(w, model)
-    if np.any(model.U <= -post.rho):
-        raise NumericalError("workspace requested at an infeasible point")
-    log_mgf_sums = -(np.log1p(model.U / post.rho) @ post.nu)
-    return ElboWorkspace(
-        log_mgf_sums=log_mgf_sums,
-        expect_a=post.nu / post.rho,
-        expect_log_a=_digamma(post.nu) - np.log(post.rho),
-    )
 
 
 def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePosterior:
@@ -284,16 +243,20 @@ def infer_frames(
 
 
 def dump_posteriors(results: list[FrameResult], path) -> None:
-    """Write the JSON posterior dump: [{frame, nu, rho, elbo}, ...]."""
+    """Write the JSON posterior dump: [{frame, nu, rho, elbo}, ...].
+
+    A bound that is not finite (a failed frame's -inf, a bound not computed)
+    is written as null, so the file is strict JSON.
+    """
     doc = [
         {
             "frame": t,
             "nu": [float(v) for v in r.posterior.nu],
             "rho": [float(v) for v in r.posterior.rho],
-            "elbo": float(r.elbo),
+            "elbo": float(r.elbo) if math.isfinite(r.elbo) else None,
         }
         for t, r in enumerate(results)
     ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
         fh.write("\n")

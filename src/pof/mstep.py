@@ -1,16 +1,19 @@
 """M-step objective, analytic gradients, and the variational EM driver.
 
 The M-step maximizes Q(U, alpha, gamma) = sum_t E_q[log p(w_t, a_t | .)]
-using the expected sufficient statistics from the E-step. There are no
-closed-form updates, so each block runs L-BFGS:
+using the expected sufficient statistics from the E-step, one block at a
+time:
 
-  * U row by row (rows are independent; the barrier U_fl > -min_t rho_lt
-    keeps every stored posterior feasible, which is what makes the next
-    E-step's warm start safe),
-  * alpha and gamma jointly in log-space (their blocks are separable).
+  * U row by row with L-BFGS (rows are independent; the barrier
+    U_fl > -min_t rho_lt keeps every stored posterior feasible, which is
+    what makes the next E-step's warm start safe),
+  * alpha, then gamma, in closed form up to a 1-D equation: each entry
+    solves log x - psi(x) = c for its own constant c, by Minka's
+    generalised Newton iteration ("Estimating a Gamma distribution", 2002).
 
-Block order is U, alpha, gamma; each block only ever improves Q, so the
-whole M-step is monotone and fit()'s ELBO trace is non-decreasing.
+Block order is U, alpha, gamma; each block only ever improves Q (the shape
+blocks are concave and solved exactly), so the whole M-step is monotone and
+fit()'s ELBO trace is non-decreasing.
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ import logging
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estep import FrameResult, floor_observations, infer_frames
+from .estep import floor_observations, infer_frames
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram
 from .optim import LbfgsConfig, minimize
-from .specfn import _digamma, _ln_gamma
+from .specfn import _digamma, _ln_gamma, _trigamma
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
            "grad_alpha", "grad_gamma", "mstep", "fit"]
@@ -37,11 +39,18 @@ logger = logging.getLogger(__name__)
 
 _STREAM_UINIT = 0xF0
 
+# Generalised-Newton steps for log x - psi(x) = c. From Minka's initial
+# value, three reach round-off for every c in [1e-12, 1e10]; one more is
+# margin.
+_SHAPE_NEWTON_STEPS = 4
+
 
 @dataclass
 class SufficientStats:
     """Expected sufficient statistics of the activations for all frames."""
 
+    nu: np.ndarray                # (L, T) posterior shapes
+    rho: np.ndarray               # (L, T) posterior rates
     expect_a: np.ndarray          # (L, T)
     expect_log_a: np.ndarray      # (L, T)
     posteriors: list[FramePosterior]
@@ -53,6 +62,8 @@ class SufficientStats:
         nu = np.stack([p.nu for p in posteriors], axis=1)
         rho = np.stack([p.rho for p in posteriors], axis=1)
         return cls(
+            nu=nu,
+            rho=rho,
             expect_a=nu / rho,
             expect_log_a=_digamma(nu) - np.log(rho),
             posteriors=list(posteriors),
@@ -81,12 +92,6 @@ def _as_data(W) -> np.ndarray:
     return data
 
 
-def _nu_rho(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray]:
-    nu = np.stack([p.nu for p in stats.posteriors], axis=1)
-    rho = np.stack([p.rho for p in stats.posteriors], axis=1)
-    return nu, rho
-
-
 def _check_shapes(W: np.ndarray, model: PoFModel, stats: SufficientStats) -> None:
     F, T = W.shape
     L = model.n_filters
@@ -98,15 +103,37 @@ def _check_shapes(W: np.ndarray, model: PoFModel, stats: SufficientStats) -> Non
 
 def _log_mgf_sums(U: np.ndarray, nu: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
     """S[f, t] = sum_l -nu_lt log1p(U_fl / rho_lt), or None if infeasible."""
-    F = U.shape[0]
-    T = nu.shape[1]
-    S = np.empty((F, T))
-    for t in range(T):
-        ratio = U / rho[:, t]
+    S = np.zeros((U.shape[0], nu.shape[1]))
+    for l in range(U.shape[1]):
+        ratio = U[:, l, None] / rho[l]           # (F, T)
         if np.any(ratio <= -1.0):
             return None
-        S[:, t] = -(np.log1p(ratio) @ nu[:, t])
+        S -= nu[l] * np.log1p(ratio)
     return S
+
+
+def _alpha_c(stats: SufficientStats) -> np.ndarray:
+    """c in dQ/d alpha = T (log alpha - psi(alpha) - c)."""
+    T = stats.expect_a.shape[1]
+    return (stats.expect_a.sum(axis=1) - stats.expect_log_a.sum(axis=1)) / T - 1.0
+
+
+def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray | None:
+    """c in dQ/d gamma = T (log gamma - psi(gamma) - c); None if infeasible."""
+    S = _log_mgf_sums(U, stats.nu, stats.rho)
+    if S is None:
+        return None
+    with np.errstate(over="ignore"):
+        recon = np.exp(S)
+    T = W.shape[1]
+    return ((U @ stats.expect_a).sum(axis=1) + (W * recon).sum(axis=1)
+            - np.log(W).sum(axis=1)) / T - 1.0
+
+
+def _shape_q(x: np.ndarray, c: np.ndarray, T: int) -> np.ndarray:
+    """The terms of Q in each shape entry x, given its c from _alpha_c or
+    _gamma_c; concave in x, with derivative T (log x - psi(x) - c)."""
+    return T * (x * np.log(x) - _ln_gamma(x) - (c + 1.0) * x)
 
 
 def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
@@ -115,27 +142,35 @@ def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
     _check_shapes(W, model, stats)
     if np.any(W <= 0):
         raise ValidationError("W entries must be positive (apply floor_observations)")
-    nu, rho = _nu_rho(stats)
-    S = _log_mgf_sums(model.U, nu, rho)
-    if S is None:
+    c_gamma = _gamma_c(W, model.U, stats)
+    if c_gamma is None:
         return -math.inf
     T = W.shape[1]
-    gamma, alpha = model.gamma, model.alpha
-    with np.errstate(over="ignore"):
-        recon = np.exp(S)
-    lik = (
-        T * float(np.sum(gamma * np.log(gamma) - _ln_gamma(gamma)))
-        + float((gamma - 1.0) @ np.log(W).sum(axis=1))
-        - float(gamma @ (model.U @ stats.expect_a).sum(axis=1))
-        - float(gamma @ (W * recon).sum(axis=1))
+    total = (
+        float(np.sum(_shape_q(model.gamma, c_gamma, T))) - float(np.log(W).sum())
+        + float(np.sum(_shape_q(model.alpha, _alpha_c(stats), T)))
+        - float(stats.expect_log_a.sum())
     )
-    prior = (
-        T * float(np.sum(alpha * np.log(alpha) - _ln_gamma(alpha)))
-        + float((alpha - 1.0) @ stats.expect_log_a.sum(axis=1))
-        - float(alpha @ stats.expect_a.sum(axis=1))
-    )
-    total = lik + prior
     return total if math.isfinite(total) else -math.inf
+
+
+def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
+    """The terms of Q that depend on row u of U, and their gradient.
+
+    Returns (-inf, None) when u is infeasible for the stored posteriors or
+    the reconstruction overflows.
+    """
+    ratio = u[:, None] / stats.rho              # (L, T)
+    if np.any(ratio <= -1.0):
+        return -math.inf, None
+    S = -np.sum(stats.nu * np.log1p(ratio), axis=0)   # (T,)
+    with np.errstate(over="ignore"):
+        w_recon = w_f * np.exp(S)
+    q = gamma_f * (-float(u @ sum_ea) - float(w_recon.sum()))
+    if not math.isfinite(q):
+        return -math.inf, None
+    ea = stats.expect_a
+    return q, gamma_f * (-sum_ea + (ea * (w_recon / (1.0 + ratio))).sum(axis=1))
 
 
 def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
@@ -146,64 +181,63 @@ def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray
     """
     W = _as_data(W)
     _check_shapes(W, model, stats)
-    nu, rho = _nu_rho(stats)
-    u = model.U[f]
-    ratio = u[:, None] / rho                    # (L, T)
-    if np.any(ratio <= -1.0):
+    _, grad = _u_row_q(model.U[f], W[f], model.gamma[f], stats,
+                       stats.expect_a.sum(axis=1))
+    if grad is None:
         raise NumericalError(f"U row {f} is infeasible for the stored posteriors")
-    S = -np.sum(nu * np.log1p(ratio), axis=0)   # (T,)
-    ea = stats.expect_a
-    w_recon = W[f] * np.exp(S)                  # (T,)
-    return model.gamma[f] * (-ea.sum(axis=1) + (ea * (w_recon / (1.0 + ratio))).sum(axis=1))
+    return grad
+
+
+def _solve_shape(c: np.ndarray) -> np.ndarray:
+    """x > 0 with log x - psi(x) = c, elementwise; every c must be > 0.
+
+    Minka's initial value, then generalised Newton steps on 1/x.
+    """
+    x = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
+    for _ in range(_SHAPE_NEWTON_STEPS):
+        x = 1.0 / (1.0 / x + (np.log(x) - _digamma(x) - c)
+                   / (x * x * (1.0 / x - _trigamma(x))))
+    return x
+
+
+def _update_shape(x0: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Maximise _shape_q(x, c, T) entrywise.
+
+    An entry whose c is <= 0 or not finite has no finite maximiser (the
+    objective rises towards x = inf), so it keeps its previous value.
+    """
+    x = x0.copy()
+    ok = np.isfinite(c) & (c > 0)
+    x[ok] = _solve_shape(c[ok])
+    return x
 
 
 def grad_alpha(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     """dQ/d alpha_l = sum_t (log a_l + 1 - psi(a_l) + E[log a_lt] - E[a_lt])."""
     W = _as_data(W)
     _check_shapes(W, model, stats)
-    T = W.shape[1]
     alpha = model.alpha
-    return (
-        T * (np.log(alpha) + 1.0 - _digamma(alpha))
-        + stats.expect_log_a.sum(axis=1)
-        - stats.expect_a.sum(axis=1)
-    )
+    return W.shape[1] * (np.log(alpha) - _digamma(alpha) - _alpha_c(stats))
 
 
 def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     """dQ/d gamma_f, summed over frames."""
     W = _as_data(W)
     _check_shapes(W, model, stats)
-    nu, rho = _nu_rho(stats)
-    S = _log_mgf_sums(model.U, nu, rho)
-    if S is None:
+    c = _gamma_c(W, model.U, stats)
+    if c is None:
         raise NumericalError("gradient requested at an infeasible point")
-    T = W.shape[1]
     gamma = model.gamma
-    return (
-        T * (np.log(gamma) + 1.0 - _digamma(gamma))
-        + np.log(W).sum(axis=1)
-        - (model.U @ stats.expect_a).sum(axis=1)
-        - (W * np.exp(S)).sum(axis=1)
-    )
+    return W.shape[1] * (np.log(gamma) - _digamma(gamma) - c)
 
 
-def _optimize_u_row(f, W, gamma_f, nu, rho, ea, sum_ea, u0, cfg) -> np.ndarray:
+def _optimize_u_row(f, w_f, u0, gamma_f, stats, sum_ea, cfg) -> np.ndarray:
     """Maximize the row-f block of Q over u; returns the new row."""
-    w_f = W[f]
-    L = u0.shape[0]
 
     def f_and_grad(u):
-        ratio = u[:, None] / rho
-        if np.any(ratio <= -1.0):
-            return math.inf, np.zeros(L)
-        S = -np.sum(nu * np.log1p(ratio), axis=0)
-        with np.errstate(over="ignore"):
-            w_recon = w_f * np.exp(S)
-        q = gamma_f * (-(u @ sum_ea) - float(w_recon.sum()))
-        if not math.isfinite(q):
-            return math.inf, np.zeros(L)
-        grad = gamma_f * (-sum_ea + (ea * (w_recon / (1.0 + ratio))).sum(axis=1))
+        q, grad = _u_row_q(u, w_f, gamma_f, stats, sum_ea)
+        if grad is None:
+            return math.inf, np.zeros_like(u)
         return -q, -grad
 
     try:
@@ -214,58 +248,12 @@ def _optimize_u_row(f, W, gamma_f, nu, rho, ea, sum_ea, u0, cfg) -> np.ndarray:
     return res.x
 
 
-def _optimize_alpha(alpha0, sum_ea, sum_ela, T, cfg) -> np.ndarray:
-    def f_and_grad(x):
-        with np.errstate(over="ignore"):
-            al = np.exp(x)
-        if not np.all(np.isfinite(al)) or np.any(al == 0.0):
-            return math.inf, np.zeros_like(x)
-        q = float(
-            np.sum(T * (al * np.log(al) - _ln_gamma(al)) + (al - 1.0) * sum_ela - al * sum_ea)
-        )
-        if not math.isfinite(q):
-            return math.inf, np.zeros_like(x)
-        d = T * (np.log(al) + 1.0 - _digamma(al)) + sum_ela - sum_ea
-        return -q, -(d * al)
-
-    try:
-        res = minimize(f_and_grad, np.log(alpha0), cfg)
-    except NumericalError as exc:
-        logger.warning("alpha update failed (%s); keeping previous values", exc)
-        return alpha0
-    return np.exp(res.x)
-
-
-def _optimize_gamma(gamma0, sum_b, sum_c, sum_logw, T, cfg) -> np.ndarray:
-    def f_and_grad(x):
-        with np.errstate(over="ignore"):
-            gm = np.exp(x)
-        if not np.all(np.isfinite(gm)) or np.any(gm == 0.0):
-            return math.inf, np.zeros_like(x)
-        q = float(
-            np.sum(T * (gm * np.log(gm) - _ln_gamma(gm)) + (gm - 1.0) * sum_logw
-                   - gm * (sum_b + sum_c))
-        )
-        if not math.isfinite(q):
-            return math.inf, np.zeros_like(x)
-        d = T * (np.log(gm) + 1.0 - _digamma(gm)) + sum_logw - sum_b - sum_c
-        return -q, -(d * gm)
-
-    try:
-        res = minimize(f_and_grad, np.log(gamma0), cfg)
-    except NumericalError as exc:
-        logger.warning("gamma update failed (%s); keeping previous values", exc)
-        return gamma0
-    return np.exp(res.x)
-
-
 def mstep(
     W,
     model: PoFModel,
     stats: SufficientStats,
     cfg: LbfgsConfig = LbfgsConfig(),
     *,
-    threads: int = 1,
     frozen_rows: frozenset[int] = frozenset(),
 ) -> PoFModel:
     """One full M-step; never decreases Q. Rows in frozen_rows keep their
@@ -274,37 +262,22 @@ def mstep(
     _check_shapes(W, model, stats)
     if np.any(W <= 0):
         raise ValidationError("W entries must be positive (apply floor_observations)")
-    nu, rho = _nu_rho(stats)
-    ea, ela = stats.expect_a, stats.expect_log_a
-    sum_ea = ea.sum(axis=1)
-    sum_ela = ela.sum(axis=1)
-    F, T = W.shape
+    sum_ea = stats.expect_a.sum(axis=1)
 
-    rows = [f for f in range(F) if f not in frozen_rows]
     U_new = model.U.copy()
+    for f in range(W.shape[0]):
+        if f not in frozen_rows:
+            U_new[f] = _optimize_u_row(f, W[f], model.U[f], model.gamma[f], stats,
+                                       sum_ea, cfg)
 
-    def row_task(f: int) -> np.ndarray:
-        return _optimize_u_row(f, W, model.gamma[f], nu, rho, ea, sum_ea, model.U[f], cfg)
+    alpha_new = _update_shape(model.alpha, _alpha_c(stats))
 
-    if threads > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for f, row in zip(rows, pool.map(row_task, rows)):
-                U_new[f] = row
-    else:
-        for f in rows:
-            U_new[f] = row_task(f)
-
-    alpha_new = _optimize_alpha(model.alpha, sum_ea, sum_ela, T, cfg)
-
-    S = _log_mgf_sums(U_new, nu, rho)
-    if S is None:  # cannot happen when rows came back feasible; keep old gamma
+    c = _gamma_c(W, U_new, stats)
+    if c is None:  # cannot happen when rows came back feasible; keep old gamma
         logger.warning("gamma update skipped: infeasible reconstruction")
         gamma_new = model.gamma.copy()
     else:
-        sum_b = (U_new @ ea).sum(axis=1)
-        sum_c = (W * np.exp(S)).sum(axis=1)
-        sum_logw = np.log(W).sum(axis=1)
-        gamma_new = _optimize_gamma(model.gamma, sum_b, sum_c, sum_logw, T, cfg)
+        gamma_new = _update_shape(model.gamma, c)
         for f in frozen_rows:
             gamma_new[f] = model.gamma[f]
 
@@ -324,7 +297,10 @@ def fit(
     after cfg.max_em_iters iterations. Returns the fitted model and the
     per-iteration total-ELBO trace (non-decreasing up to float noise).
 
-    log_sink, when given, receives one formatted line per EM iteration.
+    threads is the E-step's worker count; the M-step runs serially.
+    log_sink, when given, receives one formatted line per EM iteration: the
+    bound, its growth, the E-step seconds (secs=) and the seconds of the
+    M-step that produced this iteration's model (mstep_secs=, 0 at first).
     """
     raw = _as_data(W)
     if raw.shape[1] < 2:
@@ -353,6 +329,7 @@ def fit(
     trace: list[float] = []
     warm: list[FramePosterior] | None = None
     prev = None
+    mstep_secs = 0.0
     for it in range(1, cfg.max_em_iters + 1):
         t0 = time.perf_counter()
         results = infer_frames(
@@ -364,13 +341,14 @@ def fit(
         if log_sink is not None:
             log_sink(
                 f"iter={it} elbo={total:.10e} delta={delta:.6e} "
-                f"secs={time.perf_counter() - t0:.3f}"
+                f"secs={time.perf_counter() - t0:.3f} mstep_secs={mstep_secs:.3f}"
             )
         if prev is not None and total - prev <= cfg.rel_tol * abs(prev):
             break
         prev = total
         warm = [r.posterior for r in results]
         stats = SufficientStats.from_posteriors(warm)
-        model = mstep(data, model, stats, cfg.inner, threads=threads,
-                      frozen_rows=zero_rows)
+        t0 = time.perf_counter()
+        model = mstep(data, model, stats, cfg.inner, frozen_rows=zero_rows)
+        mstep_secs = time.perf_counter() - t0
     return model, trace

@@ -1,0 +1,66 @@
+"""End-to-end checks of `pof` subcommands through cli.main on tiny files."""
+
+import json
+
+import numpy as np
+import pytest
+
+from pof import (ModelMeta, PoFModel, Spectrogram, band_mask, load_spectrogram,
+                 log_spectral_distance, save_model, save_spectrogram)
+from pof.cli import main
+
+RATE, N_FFT, F = 8000.0, 16, 9
+
+
+def write_spec(path, data):
+    save_spectrogram(Spectrogram(np.asarray(data, dtype=float), "magnitude",
+                                 RATE, N_FFT, N_FFT // 2), path)
+    return str(path)
+
+
+def load_strict_json(path):
+    """json.load that rejects NaN and +-Infinity, as strict parsers do."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+@pytest.mark.parametrize("band", [[], ["--low", "400", "--high", "3400"]],
+                         ids=["full", "band"])
+def test_eval_lsd(rng, tmp_path, capsys, band):
+    a = write_spec(tmp_path / "a.pofs", rng.lognormal(size=(F, 4)))
+    b = write_spec(tmp_path / "b.pofs", rng.lognormal(size=(F, 4)))
+    assert main(["eval-lsd", a, b, *band]) == 0
+    mask = band_mask(F, RATE, N_FFT, 400.0, 3400.0) if band else None
+    want = log_spectral_distance(load_spectrogram(a), load_spectrogram(b), mask)
+    assert float(capsys.readouterr().out) == pytest.approx(want, rel=1e-12)
+
+
+def test_bwe_dump_is_strict_json(rng, tmp_path):
+    model = PoFModel(rng.normal(0.0, 0.3, size=(F, 2)), np.ones(2), np.full(F, 2.0),
+                     ModelMeta(sample_rate=RATE, n_fft=N_FFT))
+    save_model(model, tmp_path / "model.json")
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    dump = tmp_path / "post.json"
+    assert main(["bwe", spec, "-m", str(tmp_path / "model.json"),
+                 "-o", str(tmp_path / "out.pofs"), "--threads", "1",
+                 "--dump-posteriors", str(dump)]) == 0
+    doc = load_strict_json(dump)
+    assert [d["frame"] for d in doc] == [0, 1, 2]
+    assert all(d["elbo"] is None for d in doc)  # bwe records no bound
+
+
+def test_failed_encode_frame_dump_is_strict_json(tmp_path):
+    # 80 filters all at U = -50: the default initial posterior sits just
+    # inside the barrier, so its reconstruction overflows and the frame fails
+    L = 80
+    save_model(PoFModel(np.full((2, L), -50.0), np.ones(L), np.ones(2)),
+               tmp_path / "model.json")
+    spec = write_spec(tmp_path / "in.pofs", np.ones((2, 1)))
+    dump = tmp_path / "post.json"
+    assert main(["encode", spec, "-m", str(tmp_path / "model.json"),
+                 "-o", str(dump), "--threads", "1"]) == 0
+    (record,) = load_strict_json(dump)
+    assert record["elbo"] is None
+    assert all(isinstance(v, float) for v in record["nu"] + record["rho"])

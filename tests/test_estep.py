@@ -10,8 +10,8 @@ import pytest
 
 from pof import (FramePosterior, LbfgsConfig, NumericalError, PoFModel,
                  Spectrogram, ValidationError, elbo, elbo_grad, sample)
-from pof.estep import (default_posterior_init, dump_posteriors, elbo_workspace,
-                       floor_observations, infer_frame, infer_frames)
+from pof.estep import (default_posterior_init, dump_posteriors, floor_observations,
+                       infer_frame, infer_frames)
 from conftest import (central_diff, elbo_oracle, importance_log_marginal,
                       random_feasible_posterior, random_frame, random_model)
 
@@ -111,17 +111,6 @@ class TestElboGrad:
         post = FramePosterior(np.ones(1), np.full(1, 0.5))
         with pytest.raises(NumericalError):
             elbo_grad(np.ones(1), model, post)
-
-
-class TestWorkspace:
-    def test_cached_quantities(self, rng):
-        model = random_model(rng, 5, 3)
-        post = random_feasible_posterior(rng, model)
-        w = random_frame(rng, model)
-        ws = elbo_workspace(w, model, post)
-        assert np.allclose(ws.expect_a, post.nu / post.rho)
-        expected = -(np.log1p(model.U / post.rho) @ post.nu)
-        assert np.allclose(ws.log_mgf_sums, expected)
 
 
 class TestInferFrame:

@@ -11,8 +11,8 @@ from pof import (EmConfig, FramePosterior, LbfgsConfig, PoFModel, Spectrogram,
                  ValidationError, elbo, fit, grad_alpha, grad_gamma, grad_u_row,
                  mstep, q_objective, sample)
 from pof.estep import floor_observations, infer_frames
-from pof.mstep import SufficientStats, _optimize_alpha, _optimize_gamma
-from pof.specfn import gamma_entropy, GammaParams
+from pof.mstep import SufficientStats, _alpha_c, _gamma_c, _solve_shape
+from pof.specfn import _digamma, gamma_entropy, GammaParams
 from conftest import (central_diff, q_oracle, random_feasible_posterior,
                       random_model)
 
@@ -170,13 +170,27 @@ class TestMstep:
         assert new.gamma[1] == model.gamma[1]
         assert new.gamma[3] == model.gamma[3]
 
-    def test_thread_count_does_not_change_result(self, rng):
-        W, model, stats = random_problem(rng, F=8, L=3, T=5)
-        one = mstep(W, model, stats, threads=1)
-        four = mstep(W, model, stats, threads=4)
-        assert np.array_equal(one.U, four.U)
-        assert np.array_equal(one.alpha, four.alpha)
-        assert np.array_equal(one.gamma, four.gamma)
+    def test_shapes_stationary_after_mstep(self, rng):
+        # the shape blocks are solved to round-off, not to an L-BFGS tolerance
+        for _ in range(5):
+            W, model, stats = random_problem(rng, F=8, L=3, T=6)
+            frozen = frozenset({2})
+            new = mstep(W, model, stats, frozen_rows=frozen)
+            T = W.shape[1]
+            ok_alpha = _alpha_c(stats) > 0
+            ok_gamma = _gamma_c(W, new.U, stats) > 0
+            ok_gamma[list(frozen)] = False
+            assert ok_alpha.any() and ok_gamma.any()
+            assert np.max(np.abs(grad_alpha(W, new, stats)[ok_alpha])) <= 1e-9 * T
+            assert np.max(np.abs(grad_gamma(W, new, stats)[ok_gamma])) <= 1e-9 * T
+
+    def test_shape_without_finite_maximiser_kept(self):
+        # one frame reconstructed exactly gives gamma's c = 0: Q rises
+        # towards gamma = inf, so the previous value stays
+        W, model, stats = trivial_problem()
+        model = PoFModel(model.U, model.alpha, np.array([2.5]))
+        assert _gamma_c(W, model.U, stats)[0] == 0.0
+        assert mstep(W, model, stats).gamma[0] == 2.5
 
     def test_alpha_gamma_recovery_with_true_filters(self, rng):
         # E-step with the true model, then alpha/gamma-only updates from the
@@ -190,11 +204,18 @@ class TestMstep:
         inner = LbfgsConfig(grad_tol=1e-4, max_iters=80)
         results = infer_frames(spec, true_model, inner, seed=0, threads=4)
         stats = SufficientStats.from_posteriors([r.posterior for r in results])
-        alpha_hat = _optimize_alpha(
-            np.ones(L), stats.expect_a.sum(axis=1), stats.expect_log_a.sum(axis=1),
-            T, LbfgsConfig(),
-        )
+        alpha_hat = _solve_shape(_alpha_c(stats))
         assert np.all(np.abs(alpha_hat - alpha_true) / alpha_true < 0.2)
+
+
+class TestSolveShape:
+    def test_residual_over_range(self):
+        # the residual is relative to max(1, c): one ulp of c = 1e4 is 1.8e-12
+        c = np.logspace(-8, 4, 2001)
+        x = _solve_shape(c)
+        assert np.all(x > 0)
+        resid = np.abs(np.log(x) - _digamma(x) - c) / np.maximum(1.0, c)
+        assert np.max(resid) < 1e-12
 
 
 class TestFit:

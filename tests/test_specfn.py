@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings, strategies as st
 
 from pof import GammaParams, ValidationError
 from pof.specfn import (digamma, gamma_entropy, gamma_expect_a, gamma_expect_log_a,
@@ -93,6 +94,22 @@ class TestTrigamma:
     def test_domain(self):
         with pytest.raises(ValidationError):
             trigamma(0.0)
+
+
+# Log-uniform over (1e-8, 1e8), so every decade is drawn alike.
+_POSITIVE = st.floats(min_value=math.log(1e-8), max_value=math.log(1e8)).map(math.exp)
+
+
+@pytest.mark.parametrize("ours, ref", [
+    (ln_gamma, sp.gammaln),
+    (digamma, sp.digamma),
+    (trigamma, lambda x: sp.polygamma(1, x)),
+], ids=["ln_gamma", "digamma", "trigamma"])
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(x=_POSITIVE)
+def test_matches_scipy_property(ours, ref, x):
+    want = float(ref(x))
+    assert abs(ours(x) - want) <= 1e-11 * max(1.0, abs(want))
 
 
 class TestGammaEntropy:
