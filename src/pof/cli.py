@@ -291,8 +291,12 @@ def build_parser() -> _Parser:
     p.add_argument("-L", dest="L", type=int, default=None, help="number of filters")
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
     p.add_argument("--max-iters", dest="max_em_iters", type=int, default=None)
-    p.add_argument("--lbfgs-max-iters", dest="lbfgs_max_iters", type=int, default=None)
-    p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
+    p.add_argument("--lbfgs-max-iters", dest="lbfgs_max_iters", type=int, default=None,
+                   help="E-step L-BFGS iteration cap per frame (the M-step is "
+                        "solved to round-off)")
+    p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
+                   help="E-step L-BFGS gradient tolerance (the M-step is solved "
+                        "to round-off)")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

@@ -7,6 +7,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError, ValidationError
 from .estep import infer_frames
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 _MEL_LOG_FLOOR = 1e-12
+# median_smooth sorts its windows in blocks of frames of about this many bytes
+_SMOOTH_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,30 @@ def median_smooth(x, length: int = 25):
     squeeze = arr.ndim == 1
     rows = np.atleast_2d(arr)
     half = length // 2
-    T = rows.shape[1]
+    n_rows, T = rows.shape
+    if T == 0:
+        return arr.copy()
+    # Window t of the NaN-padded rows holds the n_t = min(T, t + half + 1) -
+    # max(0, t - half) entries of the edge-truncated window; sorting puts the
+    # NaN padding last, so the median is the middle of the first n_t entries.
+    # Frames are sorted in blocks so the sorted copy stays near
+    # _SMOOTH_CHUNK_BYTES whatever T is.
+    padded = np.pad(rows, ((0, 0), (half, half)), constant_values=np.nan)
+    t = np.arange(T)
+    n = np.minimum(T, t + half + 1) - np.maximum(0, t - half)
+    lo, hi = (n - 1) // 2, n // 2
     out = np.empty_like(rows)
-    for t in range(T):
-        lo, hi = max(0, t - half), min(T, t + half + 1)
-        out[:, t] = np.median(rows[:, lo:hi], axis=1)
+    block = max(1, _SMOOTH_CHUNK_BYTES // (8 * n_rows * length))
+    for a in range(0, T, block):
+        b = min(T, a + block)
+        ordered = np.sort(sliding_window_view(padded[:, a:b + 2 * half], length, axis=1),
+                          axis=2)
+        k = np.arange(b - a)
+        out[:, a:b] = (ordered[:, k, lo[a:b]] + ordered[:, k, hi[a:b]]) / 2
+    # a NaN of the input sorts with the padding; its windows' medians are NaN,
+    # as np.median gives
+    nan = np.pad(np.isnan(rows), ((0, 0), (half, half)))
+    out[sliding_window_view(nan, length, axis=1).any(axis=2)] = np.nan
     return out[0] if squeeze else out
 
 

@@ -4,16 +4,31 @@ The M-step maximizes Q(U, alpha, gamma) = sum_t E_q[log p(w_t, a_t | .)]
 using the expected sufficient statistics from the E-step, one block at a
 time:
 
-  * U row by row with L-BFGS (rows are independent; the barrier
-    U_fl > -min_t rho_lt keeps every stored posterior feasible, which is
-    what makes the next E-step's warm start safe),
+  * U: Q splits into F independent row problems. Row f maximises
+    Q_f(u) = -gamma_f phi_f(u), with
+        phi_f(u) = u . sum_t E[a_t] + sum_t w_ft exp(S_ft),
+        S_ft = -sum_l nu_lt log1p(u_l / rho_lt).
+    Each -log1p of an affine function is convex and exp of a convex
+    function is convex, so phi_f is convex on its feasible set
+    u_l > -min_t rho_lt (and Q_f concave). With r_lt = rho_lt + u_l,
+    g_lt = nu_lt / r_lt and E_ft = w_ft exp(S_ft):
+        grad phi_f = sum_t E[a_t] - sum_t E_ft g_t,
+        hess phi_f = sum_t E_ft (g_t g_t' + diag(nu_t / r_t^2)),
+    which is positive definite whenever some E_ft > 0. All rows are solved
+    together by damped Newton: one np.linalg.solve on the (rows, L, L)
+    stack gives every row's step (minimize). Each row starts from the full
+    step, or 0.99 of the way to the barrier when the full step would cross
+    it, and halves until the step is feasible, satisfies Armijo and strictly
+    lowers phi_f (Boyd & Vandenberghe, Convex Optimization, 9.5). The barrier keeps
+    every stored posterior feasible, which is what makes the next E-step's
+    warm start safe.
   * alpha, then gamma, in closed form up to a 1-D equation: each entry
     solves log x - psi(x) = c for its own constant c, by Minka's
     generalised Newton iteration ("Estimating a Gamma distribution", 2002).
 
-Block order is U, alpha, gamma; each block only ever improves Q (the shape
-blocks are concave and solved exactly), so the whole M-step is monotone and
-fit()'s ELBO trace is non-decreasing.
+Block order is U, alpha, gamma; each block only ever improves Q (all three
+are solved to round-off), so the whole M-step is monotone and fit()'s ELBO
+trace is non-decreasing.
 """
 
 from __future__ import annotations
@@ -23,13 +38,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estep import floor_observations, infer_frames
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram
-from .optim import LbfgsConfig, minimize
+from .optim import LbfgsConfig, OptimResult
 from .specfn import _digamma, _ln_gamma, _trigamma
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
@@ -43,6 +59,25 @@ _STREAM_UINIT = 0xF0
 # value, three reach round-off for every c in [1e-12, 1e10]; one more is
 # margin.
 _SHAPE_NEWTON_STEPS = 4
+
+# Damped Newton on the U rows (minimize). At F=129, L=20, T=80, a first
+# M-step from U ~ N(0, 0.01^2) converges in about 11 iterations; the cap only
+# bounds a row that keeps accepting steps without its decrement reaching
+# round-off.
+_U_NEWTON_MAX_ITERS = 100
+_U_MAX_HALVINGS = 60
+_ARMIJO_C1 = 1e-4
+# A step that would cross the barrier starts its backtrack this fraction of
+# the way to it.
+_U_BARRIER_FRACTION = 0.99
+# A row also stops when every |d phi / d u_l| <= _U_GRAD_RTOL * sum_t E[a_lt],
+# the scale of both terms of the gradient.
+_U_GRAD_RTOL = 1e-12
+_EPS = np.finfo(float).eps
+# Rows per chunk are chosen so that one (rows, L, T) float block stays at
+# this many bytes (at least one row); an evaluation holds about three such
+# blocks.
+_U_CHUNK_BYTES = 2 << 20
 
 
 @dataclass
@@ -72,6 +107,9 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class EmConfig:
+    """Settings of fit. inner holds the E-step's L-BFGS settings; the M-step
+    takes none, as every block is solved to round-off."""
+
     L: int = 50
     rel_tol: float = 1e-4          # stop when the bound grows by < 0.01%
     max_em_iters: int = 200
@@ -101,33 +139,32 @@ def _check_shapes(W: np.ndarray, model: PoFModel, stats: SufficientStats) -> Non
         raise ValidationError("sufficient statistics do not match model/data dims")
 
 
-def _log_mgf_sums(U: np.ndarray, nu: np.ndarray, rho: np.ndarray) -> np.ndarray | None:
-    """S[f, t] = sum_l -nu_lt log1p(U_fl / rho_lt), or None if infeasible."""
-    S = np.zeros((U.shape[0], nu.shape[1]))
-    for l in range(U.shape[1]):
-        ratio = U[:, l, None] / rho[l]           # (F, T)
-        if np.any(ratio <= -1.0):
-            return None
-        S -= nu[l] * np.log1p(ratio)
-    return S
-
-
 def _alpha_c(stats: SufficientStats) -> np.ndarray:
     """c in dQ/d alpha = T (log alpha - psi(alpha) - c)."""
     T = stats.expect_a.shape[1]
     return (stats.expect_a.sum(axis=1) - stats.expect_log_a.sum(axis=1)) / T - 1.0
 
 
+def _row_chunks(rows: np.ndarray, stats: SufficientStats) -> list[np.ndarray]:
+    """rows split so that one (rows, L, T) float block of a chunk stays
+    within _U_CHUNK_BYTES."""
+    n = max(1, _U_CHUNK_BYTES // (8 * stats.expect_a.size))
+    return [rows[i:i + n] for i in range(0, rows.size, n)]
+
+
 def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray | None:
-    """c in dQ/d gamma = T (log gamma - psi(gamma) - c); None if infeasible."""
-    S = _log_mgf_sums(U, stats.nu, stats.rho)
-    if S is None:
+    """c in dQ/d gamma = T (log gamma - psi(gamma) - c); None if infeasible.
+
+    T (c_f + 1) = phi_f(U_f) - sum_t log w_ft (see _u_rows_phi); c_f is inf
+    for a row whose reconstruction overflows.
+    """
+    if np.any(U <= -stats.rho.min(axis=1)):
         return None
-    with np.errstate(over="ignore"):
-        recon = np.exp(S)
-    T = W.shape[1]
-    return ((U @ stats.expect_a).sum(axis=1) + (W * recon).sum(axis=1)
-            - np.log(W).sum(axis=1)) / T - 1.0
+    sum_ea = stats.expect_a.sum(axis=1)
+    phi = np.empty(U.shape[0])
+    for idx in _row_chunks(np.arange(U.shape[0]), stats):
+        phi[idx] = _u_rows_phi(U[idx], W[idx], stats, sum_ea)
+    return (phi - np.log(W).sum(axis=1)) / W.shape[1] - 1.0
 
 
 def _shape_q(x: np.ndarray, c: np.ndarray, T: int) -> np.ndarray:
@@ -154,23 +191,57 @@ def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
     return total if math.isfinite(total) else -math.inf
 
 
+def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
+    """phi_f(u_f) = u_f . sum_ea + sum_t w_ft exp(S_ft) for a stack of rows.
+
+    u is (n, L) and w the matching (n, T) rows of W; phi_f = -Q_f / gamma_f,
+    where Q_f is the part of Q that depends on row f. Returns phi (n,), inf
+    for a row that is infeasible for the stored posteriors (a row holding a
+    NaN counts as infeasible and costs nothing) or whose reconstruction
+    overflows. With derivs, also returns the gradient (n, L) and the Hessian
+    (n, L, L); both are NaN for a row that is infeasible.
+    """
+    n, L = u.shape
+    phi = np.full(n, math.inf)
+    ok = np.all(u > -stats.rho.min(axis=1), axis=1)
+    if derivs:
+        grad = np.full((n, L), math.nan)
+        hess = np.full((n, L, L), math.nan)
+    if ok.any():
+        u_ok = u[ok]
+        ratio = u_ok[:, :, None] / stats.rho                  # (m, L, T)
+        # a row within rounding of the barrier can still reach log1p(-1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            S = -np.einsum("lt,mlt->mt", stats.nu, np.log1p(ratio))
+            recon = w[ok] * np.exp(S)                          # (m, T)
+            phi[ok] = u_ok @ sum_ea + recon.sum(axis=1)
+            if derivs:
+                # g_lt = nu_lt / (rho_lt + u_l) = E[a_lt] / (1 + ratio_lt)
+                ratio += 1.0
+                g = np.divide(stats.expect_a, ratio, out=ratio)
+                eg = recon[:, None, :] * g
+                grad[ok] = sum_ea - eg.sum(axis=2)
+                h = eg @ g.transpose(0, 2, 1)
+                # + diag(sum_t E_ft nu_lt / r_lt^2) = diag(sum_t E_ft g_lt^2 / nu_lt)
+                g *= g
+                g /= stats.nu
+                diag = np.einsum("mlt,mt->ml", g, recon)
+                h[:, np.arange(L), np.arange(L)] += diag
+                hess[ok] = h
+    phi[~np.isfinite(phi)] = math.inf
+    return (phi, grad, hess) if derivs else phi
+
+
 def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
     """The terms of Q that depend on row u of U, and their gradient.
 
     Returns (-inf, None) when u is infeasible for the stored posteriors or
     the reconstruction overflows.
     """
-    ratio = u[:, None] / stats.rho              # (L, T)
-    if np.any(ratio <= -1.0):
+    phi, grad, _ = _u_rows_phi(u[None], w_f[None], stats, sum_ea, derivs=True)
+    if not math.isfinite(phi[0]):
         return -math.inf, None
-    S = -np.sum(stats.nu * np.log1p(ratio), axis=0)   # (T,)
-    with np.errstate(over="ignore"):
-        w_recon = w_f * np.exp(S)
-    q = gamma_f * (-float(u @ sum_ea) - float(w_recon.sum()))
-    if not math.isfinite(q):
-        return -math.inf, None
-    ea = stats.expect_a
-    return q, gamma_f * (-sum_ea + (ea * (w_recon / (1.0 + ratio))).sum(axis=1))
+    return -gamma_f * float(phi[0]), -gamma_f * grad[0]
 
 
 def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
@@ -231,49 +302,123 @@ def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     return W.shape[1] * (np.log(gamma) - _digamma(gamma) - c)
 
 
-def _optimize_u_row(f, w_f, u0, gamma_f, stats, sum_ea, cfg) -> np.ndarray:
-    """Maximize the row-f block of Q over u; returns the new row."""
-
-    def f_and_grad(u):
-        q, grad = _u_row_q(u, w_f, gamma_f, stats, sum_ea)
-        if grad is None:
-            return math.inf, np.zeros_like(u)
-        return -q, -grad
-
+def _newton_steps(hess, grad) -> np.ndarray:
+    """-H^-1 g for each row of the stack; NaN for a row whose H is singular."""
     try:
-        res = minimize(f_and_grad, u0, cfg)
-    except NumericalError as exc:
-        logger.warning("U row %d update failed (%s); keeping previous values", f, exc)
-        return u0
-    return res.x
+        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full_like(grad, math.nan)
+        for i in range(grad.shape[0]):
+            try:
+                step[i] = -np.linalg.solve(hess[i], grad[i])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
+def minimize(phi, U0, lower, linear) -> OptimResult:
+    """Minimise phi_f(u) = u . linear + (a convex rest) over each row u of
+    U0, subject to u > lower, by damped Newton; the M-step's U solver.
+
+    phi(u) takes an (n, L) stack and returns each row's value (n,), gradient
+    (n, L) and Hessian (n, L, L), with value inf for a row that is NaN or
+    infeasible (_u_rows_phi with derivs, bound to rows of W). Rows that are
+    not being evaluated are passed as NaN. The benchmark's traced run times
+    the U block and counts these evaluations by wrapping this function as
+    pof.mstep.minimize.
+
+    Every active row's step comes from one np.linalg.solve on the stack. A
+    row's first trial is the full step, or _U_BARRIER_FRACTION of the way to
+    the barrier when the full step would cross it; it halves from there
+    until the trial is feasible, satisfies Armijo and strictly lowers phi.
+    Only rows still searching are evaluated again, and an accepted trial's
+    gradient and Hessian serve the next iteration. A row stops when its
+    Newton decrement -grad . d falls below the rounding of phi, when every
+    |grad_l| <= _U_GRAD_RTOL * linear_l, or when no trial is accepted. A row
+    whose start is infeasible, or whose Newton step is singular or not
+    finite, keeps its value. status is "max_iters" when some row was still
+    moving after _U_NEWTON_MAX_ITERS iterations, else "converged".
+    """
+    u = np.array(U0, dtype=float)
+    f, grad, hess = phi(u)
+    active = np.isfinite(f)
+    iters, status = 0, "converged"
+    while active.any():
+        if iters == _U_NEWTON_MAX_ITERS:
+            status = "max_iters"
+            break
+        rows = np.flatnonzero(active)
+        step = _newton_steps(hess[rows], grad[rows])
+        slope = np.einsum("nl,nl->n", grad[rows], step)
+        # the rounding of phi is eps times the size of its two terms
+        u_r = u[rows]
+        size = np.abs(u_r) @ linear + np.abs(f[rows] - u_r @ linear)
+        go = (np.isfinite(slope) & (-slope > _EPS * size)
+              & np.any(np.abs(grad[rows]) > _U_GRAD_RTOL * linear, axis=1))
+        active[rows[~go]] = False
+        rows, step, slope = rows[go], step[go], slope[go]
+        if rows.size == 0:
+            break
+        iters += 1
+
+        # the largest fraction of each step that keeps u > lower
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step < 0, (u[rows] - lower) / -step, math.inf).min(axis=1)
+        t = np.minimum(1.0, _U_BARRIER_FRACTION * room)
+        searching = np.ones(rows.size, dtype=bool)
+        for _ in range(_U_MAX_HALVINGS):
+            s = np.flatnonzero(searching)
+            if s.size == 0:
+                break
+            r = rows[s]
+            trial = np.full_like(u, math.nan)
+            trial[r] = u[r] + t[s, None] * step[s]
+            f_t, grad_t, hess_t = phi(trial)
+            ok = (f_t[r] < f[r]) & (f_t[r] <= f[r] + _ARMIJO_C1 * t[s] * slope[s])
+            acc = r[ok]
+            u[acc], f[acc], grad[acc], hess[acc] = trial[acc], f_t[acc], grad_t[acc], hess_t[acc]
+            searching[s[ok]] = False
+            t[s[~ok]] *= 0.5
+        active[rows[searching]] = False
+
+    finite = np.isfinite(f)
+    grad_norm = float(np.max(np.abs(grad[finite]))) if finite.any() else math.nan
+    return OptimResult(x=u, f=float(f.sum()), grad_norm=grad_norm, iters=iters,
+                       status=status)
 
 
 def mstep(
     W,
     model: PoFModel,
     stats: SufficientStats,
-    cfg: LbfgsConfig = LbfgsConfig(),
     *,
     frozen_rows: frozenset[int] = frozenset(),
 ) -> PoFModel:
-    """One full M-step; never decreases Q. Rows in frozen_rows keep their
-    U and gamma values (used for all-silent frequency bins)."""
+    """One full M-step; never decreases Q.
+
+    U: every row not in frozen_rows is solved to round-off by the batched
+    damped Newton of minimize, in chunks of rows whose (rows, L, T)
+    temporaries stay near _U_CHUNK_BYTES. alpha, then gamma: each entry solves
+    its 1-D stationarity equation (_solve_shape). Rows in frozen_rows keep
+    their U and gamma values (used for all-silent frequency bins).
+    """
     W = _as_data(W)
     _check_shapes(W, model, stats)
     if np.any(W <= 0):
         raise ValidationError("W entries must be positive (apply floor_observations)")
-    sum_ea = stats.expect_a.sum(axis=1)
 
+    sum_ea = stats.expect_a.sum(axis=1)
+    lower = -stats.rho.min(axis=1)
+    rows = np.array([f for f in range(W.shape[0]) if f not in frozen_rows], dtype=int)
     U_new = model.U.copy()
-    for f in range(W.shape[0]):
-        if f not in frozen_rows:
-            U_new[f] = _optimize_u_row(f, W[f], model.U[f], model.gamma[f], stats,
-                                       sum_ea, cfg)
+    for idx in _row_chunks(rows, stats):
+        phi = partial(_u_rows_phi, w=W[idx], stats=stats, sum_ea=sum_ea, derivs=True)
+        U_new[idx] = minimize(phi, model.U[idx], lower, sum_ea).x
 
     alpha_new = _update_shape(model.alpha, _alpha_c(stats))
 
     c = _gamma_c(W, U_new, stats)
-    if c is None:  # cannot happen when rows came back feasible; keep old gamma
+    if c is None:  # only when a row's start was infeasible and it was kept
         logger.warning("gamma update skipped: infeasible reconstruction")
         gamma_new = model.gamma.copy()
     else:
@@ -297,7 +442,10 @@ def fit(
     after cfg.max_em_iters iterations. Returns the fitted model and the
     per-iteration total-ELBO trace (non-decreasing up to float noise).
 
-    threads is the E-step's worker count; the M-step runs serially.
+    Each iteration runs the E-step (infer_frames, warm-started from the
+    previous posteriors, with cfg.inner as its L-BFGS settings and threads
+    as its worker count), then one mstep. cfg.inner does not reach the
+    M-step, whose blocks are all solved to round-off; it runs serially.
     log_sink, when given, receives one formatted line per EM iteration: the
     bound, its growth, the E-step seconds (secs=) and the seconds of the
     M-step that produced this iteration's model (mstep_secs=, 0 at first).
@@ -349,6 +497,6 @@ def fit(
         warm = [r.posterior for r in results]
         stats = SufficientStats.from_posteriors(warm)
         t0 = time.perf_counter()
-        model = mstep(data, model, stats, cfg.inner, frozen_rows=zero_rows)
+        model = mstep(data, model, stats, frozen_rows=zero_rows)
         mstep_secs = time.perf_counter() - t0
     return model, trace

@@ -1,12 +1,14 @@
 """End-to-end checks of `pof` subcommands through cli.main on tiny files."""
 
 import json
+import wave
 
 import numpy as np
 import pytest
 
-from pof import (ModelMeta, PoFModel, Spectrogram, band_mask, load_spectrogram,
-                 log_spectral_distance, save_model, save_spectrogram)
+from pof import (ModelMeta, PoFModel, Spectrogram, band_mask, load_features_csv,
+                 load_model, load_nmf_model, load_spectrogram, log_spectral_distance,
+                 save_model, save_spectrogram)
 from pof.cli import main
 
 RATE, N_FFT, F = 8000.0, 16, 9
@@ -64,3 +66,53 @@ def test_failed_encode_frame_dump_is_strict_json(tmp_path):
     (record,) = load_strict_json(dump)
     assert record["elbo"] is None
     assert all(isinstance(v, float) for v in record["nu"] + record["rho"])
+
+
+def write_wav(path, samples):
+    pcm = np.clip(np.round(samples * 32767.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(int(RATE))
+        fh.writeframes(pcm.tobytes())
+    return str(path)
+
+
+def test_subcommands_smoke(rng, tmp_path):
+    # stft -> train -> features / synth, and nmf-train, on a 20-frame clip
+    t = np.arange(8 * 21) / RATE
+    clip = 0.5 * np.sin(2 * np.pi * 1000.0 * t) + 0.05 * rng.normal(size=t.size)
+    wav = write_wav(tmp_path / "in.wav", clip)
+    spec = str(tmp_path / "in.pofs")
+    model = str(tmp_path / "model.json")
+    assert main(["stft", wav, "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2),
+                 "-o", spec]) == 0
+    assert load_spectrogram(spec).n_bins == F
+    assert main(["train", spec, "-L", "2", "--max-iters", "2", "--threads", "1",
+                 "-o", model]) == 0
+    fitted = load_model(model)
+    assert fitted.U.shape == (F, 2) and np.all(np.isfinite(fitted.U))
+    assert main(["nmf-train", spec, "-K", "2", "-o", str(tmp_path / "nmf.json")]) == 0
+    assert load_nmf_model(tmp_path / "nmf.json").K == 2
+    feats = tmp_path / "feat.csv"
+    assert main(["features", spec, "-m", model, "--deltas", "--smooth",
+                 "--median-length", "3", "--threads", "1", "-o", str(feats)]) == 0
+    assert load_features_csv(feats).data.shape == (6, load_spectrogram(spec).n_frames)
+    synth = str(tmp_path / "synth.pofs")
+    assert main(["synth", "-m", model, "-T", "5", "-o", synth]) == 0
+    assert load_spectrogram(synth).data.shape == (F, 5)
+
+
+@pytest.mark.parametrize("argv", [["stft", "{missing}", "-o", "{out}"],
+                                  ["train", "{missing}", "-o", "{out}"],
+                                  ["nmf-train", "{missing}", "-o", "{out}"],
+                                  ["features", "{missing}", "--mfcc", "-o", "{out}"],
+                                  ["synth", "-m", "{missing}", "-T", "3", "-o", "{out}"]],
+                         ids=["stft", "train", "nmf-train", "features", "synth"])
+def test_missing_input_is_exit_2(tmp_path, argv):
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
+    assert main([a.format(**paths) for a in argv]) == 2
+
+
+def test_usage_error_is_exit_1():
+    assert main(["train"]) == 1

@@ -1,5 +1,7 @@
 """Feature extraction: PoFC, MFCC, deltas, median smoothing, CSV round-trip."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,29 @@ class TestMedianSmooth:
             n = len(window)
             med = window[n // 2] if n % 2 else 0.5 * (window[n // 2 - 1] + window[n // 2])
             assert out[t] == pytest.approx(med, abs=1e-12)
+
+    @pytest.mark.parametrize("T,length", [(200, 25), (10, 25), (1, 25), (30, 1),
+                                          (25, 25), (2, 3), (0, 5)])
+    def test_matches_window_loop(self, rng, T, length):
+        # T shorter than the window makes every window edge-truncated
+        x = rng.normal(size=(3, T))
+        if T > 1:
+            x[1, T // 2] = np.nan   # np.median gives NaN for each window holding it
+        half = length // 2
+        want = np.empty_like(x)
+        for t in range(T):
+            want[:, t] = np.median(x[:, max(0, t - half):t + half + 1], axis=1)
+        assert np.array_equal(median_smooth(x, length), want, equal_nan=True)
+
+    def test_blocks_match_one_block(self, rng, monkeypatch):
+        x = rng.normal(size=(4, 300))
+        x[2, 40] = np.nan
+        whole = median_smooth(x, 25)
+        # blocks of one frame each, then of a few frames
+        for size in (1, 8 * 4 * 25 * 7):
+            monkeypatch.setattr(importlib.import_module("pof.features"),
+                                "_SMOOTH_CHUNK_BYTES", size)
+            assert np.array_equal(median_smooth(x, 25), whole, equal_nan=True)
 
     def test_even_length_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """M-step objective/gradient tests and the EM driver's monotonicity,
 determinism, and recovery behavior."""
 
+import importlib
 import math
 import warnings
 
@@ -9,9 +10,10 @@ import pytest
 
 from pof import (EmConfig, FramePosterior, LbfgsConfig, PoFModel, Spectrogram,
                  ValidationError, elbo, fit, grad_alpha, grad_gamma, grad_u_row,
-                 mstep, q_objective, sample)
+                 minimize, mstep, q_objective, sample)
 from pof.estep import floor_observations, infer_frames
-from pof.mstep import SufficientStats, _alpha_c, _gamma_c, _solve_shape
+from pof.mstep import (SufficientStats, _alpha_c, _gamma_c, _solve_shape,
+                       _u_row_q, _u_rows_phi)
 from pof.specfn import _digamma, gamma_entropy, GammaParams
 from conftest import (central_diff, q_oracle, random_feasible_posterior,
                       random_model)
@@ -158,7 +160,7 @@ class TestMstep:
         posts = [FramePosterior(np.ones(1), np.ones(1))] * 2
         W = np.ones((1, 2))
         stats = SufficientStats.from_posteriors(posts)
-        new = mstep(W, model, stats, LbfgsConfig(grad_tol=1e-8))
+        new = mstep(W, model, stats)
         assert abs(new.U[0, 0]) < 1e-6
         assert abs(new.alpha[0] - 1.0) < 1e-6
 
@@ -206,6 +208,121 @@ class TestMstep:
         stats = SufficientStats.from_posteriors([r.posterior for r in results])
         alpha_hat = _solve_shape(_alpha_c(stats))
         assert np.all(np.abs(alpha_hat - alpha_true) / alpha_true < 0.2)
+
+
+def row_q(f, W, model, stats):
+    return _u_row_q(model.U[f], W[f], model.gamma[f], stats,
+                    stats.expect_a.sum(axis=1))[0]
+
+
+def lbfgs_row(f, W, model, stats):
+    """Row f of U maximised by pof.minimize on _u_row_q, from model.U[f]."""
+    sum_ea = stats.expect_a.sum(axis=1)
+
+    def f_and_grad(u):
+        q, grad = _u_row_q(u, W[f], model.gamma[f], stats, sum_ea)
+        if grad is None:
+            return math.inf, np.zeros_like(u)
+        return -q, -grad
+
+    return minimize(f_and_grad, model.U[f], LbfgsConfig(grad_tol=1e-10)).x
+
+
+class TestURowNewton:
+    def test_hessian_matches_finite_differences(self, rng):
+        for _ in range(10):
+            W, model, stats = random_problem(rng)
+            f = int(rng.integers(model.n_bins))
+            _, _, hess = _u_rows_phi(model.U[f:f + 1], W[f:f + 1], stats,
+                                     stats.expect_a.sum(axis=1), derivs=True)
+            analytic = -model.gamma[f] * hess[0]       # Hessian of Q_f
+
+            def grad_at(u_row):
+                U = model.U.copy()
+                U[f] = u_row
+                return grad_u_row(f, W, PoFModel(U, model.alpha, model.gamma), stats)
+
+            fd = np.array([central_diff(lambda u: grad_at(u)[i], model.U[f], eps=1e-6)
+                           for i in range(model.n_filters)])
+            denom = np.maximum(np.abs(fd), 1e-8)
+            assert np.max(np.abs(analytic - fd) / denom) < 1e-5
+
+    def test_rows_at_least_as_good_as_lbfgs(self, rng):
+        for _ in range(3):
+            W, model, stats = random_problem(rng, F=8, L=3, T=6)
+            frozen = frozenset({5})
+            # both rows are scored with the starting gamma, which mstep updates
+            new = PoFModel(mstep(W, model, stats, frozen_rows=frozen).U,
+                           model.alpha, model.gamma)
+            for f in set(range(8)) - frozen:
+                U = model.U.copy()
+                U[f] = lbfgs_row(f, W, model, stats)
+                ref = row_q(f, W, PoFModel(U, model.alpha, model.gamma), stats)
+                assert row_q(f, W, new, stats) >= ref - 1e-12 * abs(ref)
+
+    def test_stack_matches_rows_solved_alone(self, rng, monkeypatch):
+        W, model, stats = random_problem(rng, F=8, L=3, T=6)
+        stacked = mstep(W, model, stats).U
+        for f in range(8):
+            alone = mstep(W[f:f + 1], PoFModel(model.U[f:f + 1], model.alpha,
+                                               model.gamma[f:f + 1]), stats).U[0]
+            assert np.max(np.abs(alone - stacked[f])) <= 1e-10 * np.max(np.abs(stacked[f]))
+        # chunks of one row each give the same rows as one chunk
+        monkeypatch.setattr(importlib.import_module("pof.mstep"), "_U_CHUNK_BYTES", 1)
+        chunked = mstep(W, model, stats).U
+        scale = np.abs(stacked).max(axis=1, keepdims=True)
+        assert np.all(np.abs(chunked - stacked) <= 1e-10 * scale)
+
+    def test_singular_hessian_row_kept(self, rng):
+        # row 2's reconstruction underflows to 0 in every frame: w = 1e-300
+        # times exp(S) <= (1 + 1e6 / 4)^-6 < 1e-32, so its Hessian is exactly 0
+        F, L, T = 5, 3, 4
+        model = random_model(rng, F, L, u_scale=0.1)
+        U = model.U.copy()
+        U[2] = 1e6
+        model = PoFModel(U, model.alpha, model.gamma)
+        posts = [FramePosterior(np.full(L, 2.0), np.full(L, 1.0 + t)) for t in range(T)]
+        stats = SufficientStats.from_posteriors(posts)
+        W = rng.lognormal(sigma=0.7, size=(F, T))
+        W[2] = 1e-300
+        _, _, hess = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
+        assert np.all(hess[2] == 0.0)
+        new = mstep(W, model, stats)
+        assert np.array_equal(new.U[2], U[2])
+        for f in (0, 1, 3, 4):
+            grad = grad_u_row(f, W, new, stats)
+            assert np.max(np.abs(grad)) < 1e-8 * model.gamma[f] * stats.expect_a.sum()
+
+    def test_tiny_reconstruction_row_moves(self, rng):
+        # row 2 at 1e6 reconstructs about (rho / 1e6)^6, 1e-36 to 1e-33: its
+        # Newton step is of order 1e40 and crosses the barrier, so the
+        # backtrack has to start near the barrier to accept any trial
+        F, L, T = 5, 3, 4
+        model = random_model(rng, F, L, u_scale=0.1)
+        U = model.U.copy()
+        U[2] = 1e6
+        model = PoFModel(U, model.alpha, model.gamma)
+        posts = [FramePosterior(np.full(L, 2.0), np.full(L, 1.0 + t)) for t in range(T)]
+        stats = SufficientStats.from_posteriors(posts)
+        W = rng.lognormal(sigma=0.7, size=(F, T))
+        W[2] = 1.0
+        new = PoFModel(mstep(W, model, stats).U, model.alpha, model.gamma)
+        assert np.all(new.U[2] < 1e6)
+        assert row_q(2, W, new, stats) > row_q(2, W, model, stats)
+        grad = grad_u_row(2, W, new, stats)
+        assert np.max(np.abs(grad)) < 1e-8 * model.gamma[2] * stats.expect_a.sum()
+
+    def test_infeasible_start_row_kept(self, rng):
+        W, model, stats = random_problem(rng, F=5, L=3, T=4)
+        U = model.U.copy()
+        U[3, 1] = -stats.rho[1].min() - 1.0
+        model = PoFModel(U, model.alpha, model.gamma)
+        new = mstep(W, model, stats)
+        assert np.array_equal(new.U[3], U[3])
+        assert np.array_equal(new.gamma, model.gamma)   # no feasible gamma update
+        for f in (0, 1, 2, 4):
+            grad = grad_u_row(f, W, new, stats)
+            assert np.max(np.abs(grad)) < 1e-8 * model.gamma[f] * stats.expect_a.sum()
 
 
 class TestSolveShape:
