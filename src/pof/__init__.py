@@ -25,6 +25,6 @@ from .mstep import (EmConfig, SufficientStats, fit, grad_alpha, grad_gamma,
                     grad_u_row, mstep, q_objective)
 from .nmf import (NmfFit, NmfModel, load_nmf_model, nmf_encode, nmf_expand,
                   nmf_fit, save_nmf_model)
-from .optim import LbfgsConfig, OptimResult, minimize
+from .optim import OptimResult, minimize
 from .specfn import (GammaParams, digamma, gamma_entropy, gamma_expect_a,
                      gamma_expect_log_a, ln_gamma, log_gamma_mgf, trigamma)

@@ -21,7 +21,7 @@ from .dsp import AudioClip, StftConfig, stft_magnitude
 from .errors import NumericalError, ValidationError
 from .estep import FrameResult, infer_frames
 from .model import BandMask, FramePosterior, PoFModel, Spectrogram
-from .optim import ZERO_PROGRESS, LbfgsConfig
+from .optim import ZERO_PROGRESS
 
 __all__ = ["BweResult", "restrict_model", "expand", "reconstruct_point"]
 
@@ -71,10 +71,8 @@ def expand(
     source,
     model: PoFModel,
     mask: BandMask,
-    cfg: LbfgsConfig = LbfgsConfig(),
     *,
     seed: int = 0,
-    threads: int = 1,
     mode: str = "log_domain",
 ) -> BweResult:
     """Infer activations from the band-limited observation and fill the band.
@@ -107,7 +105,7 @@ def expand(
         )
 
     sub = restrict_model(model, mask)
-    results = infer_frames(observed, sub, cfg, seed=seed, threads=threads)
+    results = infer_frames(observed, sub, seed=seed)
     posteriors = []
     for r in results:
         if math.isfinite(r.elbo) and r.status != ZERO_PROGRESS:

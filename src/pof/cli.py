@@ -10,7 +10,6 @@ always win over the file, and the file wins over built-in defaults.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -25,7 +24,6 @@ from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sampl
                     save_model, save_spectrogram)
 from .mstep import EmConfig, fit
 from .nmf import load_nmf_model, nmf_expand, nmf_fit, save_nmf_model
-from .optim import LbfgsConfig
 
 # key -> (type, default); flags override the file, the file overrides these.
 CONFIG_KEYS = {
@@ -33,13 +31,6 @@ CONFIG_KEYS = {
     "rel_tol": (float, 1e-4),
     "max_em_iters": (int, 200),
     "seed": (int, 0),
-    "threads": (int, 0),          # 0 = all cores
-    "memory": (int, 40),
-    "lbfgs_max_iters": (int, 500),
-    "grad_tol": (float, 1e-5),
-    "wolfe_c1": (float, 1e-4),
-    "wolfe_c2": (float, 0.9),
-    "max_line_search": (int, 40),
     "n_fft": (int, 1024),
     "hop": (int, 512),
     "low_hz": (float, 400.0),
@@ -98,28 +89,12 @@ class ResolvedConfig:
             return typ(flag)
         return self._file.get(key, default)
 
-    @property
-    def threads(self) -> int:
-        n = self["threads"]
-        return n if n > 0 else (os.cpu_count() or 1)
-
-    def lbfgs(self) -> LbfgsConfig:
-        return LbfgsConfig(
-            memory=self["memory"],
-            max_iters=self["lbfgs_max_iters"],
-            grad_tol=self["grad_tol"],
-            wolfe_c1=self["wolfe_c1"],
-            wolfe_c2=self["wolfe_c2"],
-            max_line_search=self["max_line_search"],
-        )
-
     def em(self) -> EmConfig:
         return EmConfig(
             L=self["L"],
             rel_tol=self["rel_tol"],
             max_em_iters=self["max_em_iters"],
             seed=self["seed"],
-            inner=self.lbfgs(),
         )
 
     def stft(self) -> StftConfig:
@@ -166,7 +141,7 @@ def cmd_stft(args) -> int:
 def cmd_train(args) -> int:
     cfg = config_resolve(args)
     spec = _concat_specs(args.inputs)
-    model, trace = fit(spec, cfg.em(), threads=cfg.threads, log_sink=_info)
+    model, trace = fit(spec, cfg.em(), log_sink=_info)
     save_model(model, args.output)
     _info(f"wrote {args.output} (F={model.n_bins}, L={model.n_filters}, "
           f"{len(trace)} EM iterations)")
@@ -177,7 +152,7 @@ def cmd_encode(args) -> int:
     cfg = config_resolve(args)
     spec = load_spectrogram(args.input)
     model = load_model(args.model)
-    results = infer_frames(spec, model, cfg.lbfgs(), seed=cfg["seed"], threads=cfg.threads)
+    results = infer_frames(spec, model, seed=cfg["seed"])
     dump_posteriors(results, args.output)
     _info(f"wrote {args.output} ({len(results)} frames)")
     return 0
@@ -189,8 +164,7 @@ def cmd_bwe(args) -> int:
     spec = _load_spec_or_wav(args.input, cfg)
     mask = band_mask(model.n_bins, model.meta.sample_rate, model.meta.n_fft,
                      cfg["low_hz"], cfg["high_hz"])
-    result = expand(spec, model, mask, cfg.lbfgs(), seed=cfg["seed"],
-                    threads=cfg.threads, mode=args.mode)
+    result = expand(spec, model, mask, seed=cfg["seed"], mode=args.mode)
     save_spectrogram(result.reconstructed, args.output)
     if args.dump_posteriors:
         from .estep import FrameResult
@@ -232,7 +206,7 @@ def cmd_features(args) -> int:
         if not args.model:
             raise ValidationError("features needs -m MODEL or --mfcc")
         model = load_model(args.model)
-        feat = pofc(spec, model, cfg.lbfgs(), seed=cfg["seed"], threads=cfg.threads)
+        feat = pofc(spec, model, seed=cfg["seed"])
     if args.deltas:
         feat = add_deltas(feat)
     if args.smooth:
@@ -267,8 +241,6 @@ def cmd_synth(args) -> int:
 def _add_common(p, *, output=True):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: all cores)")
     if output:
         p.add_argument("-o", "--output", required=True, help="output path")
 
@@ -286,17 +258,17 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_stft)
 
-    p = sub.add_parser("train", help="fit a product-of-filters model")
+    p = sub.add_parser("train", help="fit a product-of-filters model",
+                       description="Fit a product-of-filters model by variational "
+                                   "EM. Every E-step frame and every M-step block is "
+                                   "solved to round-off, so only the EM loop has "
+                                   "settings.")
     p.add_argument("inputs", nargs="+", help="POFS files; frames are concatenated")
     p.add_argument("-L", dest="L", type=int, default=None, help="number of filters")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_em_iters", type=int, default=None)
-    p.add_argument("--lbfgs-max-iters", dest="lbfgs_max_iters", type=int, default=None,
-                   help="E-step L-BFGS iteration cap per frame (the M-step is "
-                        "solved to round-off)")
-    p.add_argument("--grad-tol", dest="grad_tol", type=float, default=None,
-                   help="E-step L-BFGS gradient tolerance (the M-step is solved "
-                        "to round-off)")
+    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
+                   help="stop when the bound grows by less than this share")
+    p.add_argument("--max-iters", dest="max_em_iters", type=int, default=None,
+                   help="EM iteration cap")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

@@ -12,7 +12,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataFormatError, ValidationError
 from .estep import infer_frames
 from .model import PoFModel, Spectrogram
-from .optim import LbfgsConfig
 
 __all__ = [
     "FeatureMatrix",
@@ -55,13 +54,11 @@ class FeatureMatrix:
 def pofc(
     W: Spectrogram,
     model: PoFModel,
-    cfg: LbfgsConfig = LbfgsConfig(),
     *,
     seed: int = 0,
-    threads: int = 1,
 ) -> FeatureMatrix:
     """Posterior-mean activations E[a_t] as an L x T feature matrix."""
-    results = infer_frames(W, model, cfg, seed=seed, threads=threads)
+    results = infer_frames(W, model, seed=seed)
     data = np.column_stack([r.posterior.mean() for r in results])
     labels = tuple(f"pofc{l}" for l in range(model.n_filters))
     return FeatureMatrix(data, labels)

@@ -14,14 +14,12 @@ time:
     g_lt = nu_lt / r_lt and E_ft = w_ft exp(S_ft):
         grad phi_f = sum_t E[a_t] - sum_t E_ft g_t,
         hess phi_f = sum_t E_ft (g_t g_t' + diag(nu_t / r_t^2)),
-    which is positive definite whenever some E_ft > 0. All rows are solved
-    together by damped Newton: one np.linalg.solve on the (rows, L, L)
-    stack gives every row's step (minimize). Each row starts from the full
-    step, or 0.99 of the way to the barrier when the full step would cross
-    it, and halves until the step is feasible, satisfies Armijo and strictly
-    lowers phi_f (Boyd & Vandenberghe, Convex Optimization, 9.5). The barrier keeps
-    every stored posterior feasible, which is what makes the next E-step's
-    warm start safe.
+    which is positive definite whenever some E_ft > 0. The rows of a chunk
+    are solved together by pof.optim.minimize, the damped Newton the
+    E-step uses too; on this positive-definite Hessian its step is the
+    plain Newton step (Boyd & Vandenberghe, Convex Optimization, 9.5). The
+    box u > -min_t rho_t keeps every stored posterior feasible, which is
+    what makes the next E-step's warm start safe.
   * alpha, then gamma, in closed form up to a 1-D equation: each entry
     solves log x - psi(x) = c for its own constant c, by Minka's
     generalised Newton iteration ("Estimating a Gamma distribution", 2002).
@@ -37,7 +35,7 @@ import logging
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -45,7 +43,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .estep import floor_observations, infer_frames
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram
-from .optim import LbfgsConfig, OptimResult
+from .optim import chunks, minimize
 from .specfn import _digamma, _ln_gamma, _trigamma
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
@@ -56,28 +54,9 @@ logger = logging.getLogger(__name__)
 _STREAM_UINIT = 0xF0
 
 # Generalised-Newton steps for log x - psi(x) = c. From Minka's initial
-# value, three reach round-off for every c in [1e-12, 1e10]; one more is
+# value, three reach round-off for every c in [1e-14, 1e30]; one more is
 # margin.
 _SHAPE_NEWTON_STEPS = 4
-
-# Damped Newton on the U rows (minimize). At F=129, L=20, T=80, a first
-# M-step from U ~ N(0, 0.01^2) converges in about 11 iterations; the cap only
-# bounds a row that keeps accepting steps without its decrement reaching
-# round-off.
-_U_NEWTON_MAX_ITERS = 100
-_U_MAX_HALVINGS = 60
-_ARMIJO_C1 = 1e-4
-# A step that would cross the barrier starts its backtrack this fraction of
-# the way to it.
-_U_BARRIER_FRACTION = 0.99
-# A row also stops when every |d phi / d u_l| <= _U_GRAD_RTOL * sum_t E[a_lt],
-# the scale of both terms of the gradient.
-_U_GRAD_RTOL = 1e-12
-_EPS = np.finfo(float).eps
-# Rows per chunk are chosen so that one (rows, L, T) float block stays at
-# this many bytes (at least one row); an evaluation holds about three such
-# blocks.
-_U_CHUNK_BYTES = 2 << 20
 
 
 @dataclass
@@ -107,14 +86,13 @@ class SufficientStats:
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Settings of fit. inner holds the E-step's L-BFGS settings; the M-step
-    takes none, as every block is solved to round-off."""
+    """Settings of fit. The E-step and every M-step block are solved to
+    round-off, so there are no solver settings."""
 
     L: int = 50
     rel_tol: float = 1e-4          # stop when the bound grows by < 0.01%
     max_em_iters: int = 200
     seed: int = 0
-    inner: LbfgsConfig = field(default_factory=LbfgsConfig)
 
     def __post_init__(self):
         if self.rel_tol <= 0:
@@ -146,10 +124,9 @@ def _alpha_c(stats: SufficientStats) -> np.ndarray:
 
 
 def _row_chunks(rows: np.ndarray, stats: SufficientStats) -> list[np.ndarray]:
-    """rows split so that one (rows, L, T) float block of a chunk stays
-    within _U_CHUNK_BYTES."""
-    n = max(1, _U_CHUNK_BYTES // (8 * stats.expect_a.size))
-    return [rows[i:i + n] for i in range(0, rows.size, n)]
+    """rows split into the stacks minimize solves together: a solve holds
+    about four (L, T) float blocks per row (measured at L=20, T=64)."""
+    return chunks(rows, 4 * 8 * stats.expect_a.size)
 
 
 def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray | None:
@@ -262,9 +239,12 @@ def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray
 def _solve_shape(c: np.ndarray) -> np.ndarray:
     """x > 0 with log x - psi(x) = c, elementwise; every c must be > 0.
 
-    Minka's initial value, then generalised Newton steps on 1/x.
+    Minka's initial value (3 - c + sqrt((c - 3)^2 + 24 c)) / (12 c), then
+    generalised Newton steps on 1/x. The initial value is evaluated as
+    2 / (c (1 + (c + 18) / (sqrt((c - 3)^2 + 24 c) + 3))), whose terms are
+    all positive: the textbook form cancels to 0 for c >~ 1e18.
     """
-    x = (3.0 - c + np.sqrt((c - 3.0) ** 2 + 24.0 * c)) / (12.0 * c)
+    x = 2.0 / (c * (1.0 + (c + 18.0) / (np.sqrt((c - 3.0) ** 2 + 24.0 * c) + 3.0)))
     for _ in range(_SHAPE_NEWTON_STEPS):
         x = 1.0 / (1.0 / x + (np.log(x) - _digamma(x) - c)
                    / (x * x * (1.0 / x - _trigamma(x))))
@@ -302,91 +282,6 @@ def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     return W.shape[1] * (np.log(gamma) - _digamma(gamma) - c)
 
 
-def _newton_steps(hess, grad) -> np.ndarray:
-    """-H^-1 g for each row of the stack; NaN for a row whose H is singular."""
-    try:
-        return -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        step = np.full_like(grad, math.nan)
-        for i in range(grad.shape[0]):
-            try:
-                step[i] = -np.linalg.solve(hess[i], grad[i])
-            except np.linalg.LinAlgError:
-                pass
-        return step
-
-
-def minimize(phi, U0, lower, linear) -> OptimResult:
-    """Minimise phi_f(u) = u . linear + (a convex rest) over each row u of
-    U0, subject to u > lower, by damped Newton; the M-step's U solver.
-
-    phi(u) takes an (n, L) stack and returns each row's value (n,), gradient
-    (n, L) and Hessian (n, L, L), with value inf for a row that is NaN or
-    infeasible (_u_rows_phi with derivs, bound to rows of W). Rows that are
-    not being evaluated are passed as NaN. The benchmark's traced run times
-    the U block and counts these evaluations by wrapping this function as
-    pof.mstep.minimize.
-
-    Every active row's step comes from one np.linalg.solve on the stack. A
-    row's first trial is the full step, or _U_BARRIER_FRACTION of the way to
-    the barrier when the full step would cross it; it halves from there
-    until the trial is feasible, satisfies Armijo and strictly lowers phi.
-    Only rows still searching are evaluated again, and an accepted trial's
-    gradient and Hessian serve the next iteration. A row stops when its
-    Newton decrement -grad . d falls below the rounding of phi, when every
-    |grad_l| <= _U_GRAD_RTOL * linear_l, or when no trial is accepted. A row
-    whose start is infeasible, or whose Newton step is singular or not
-    finite, keeps its value. status is "max_iters" when some row was still
-    moving after _U_NEWTON_MAX_ITERS iterations, else "converged".
-    """
-    u = np.array(U0, dtype=float)
-    f, grad, hess = phi(u)
-    active = np.isfinite(f)
-    iters, status = 0, "converged"
-    while active.any():
-        if iters == _U_NEWTON_MAX_ITERS:
-            status = "max_iters"
-            break
-        rows = np.flatnonzero(active)
-        step = _newton_steps(hess[rows], grad[rows])
-        slope = np.einsum("nl,nl->n", grad[rows], step)
-        # the rounding of phi is eps times the size of its two terms
-        u_r = u[rows]
-        size = np.abs(u_r) @ linear + np.abs(f[rows] - u_r @ linear)
-        go = (np.isfinite(slope) & (-slope > _EPS * size)
-              & np.any(np.abs(grad[rows]) > _U_GRAD_RTOL * linear, axis=1))
-        active[rows[~go]] = False
-        rows, step, slope = rows[go], step[go], slope[go]
-        if rows.size == 0:
-            break
-        iters += 1
-
-        # the largest fraction of each step that keeps u > lower
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step < 0, (u[rows] - lower) / -step, math.inf).min(axis=1)
-        t = np.minimum(1.0, _U_BARRIER_FRACTION * room)
-        searching = np.ones(rows.size, dtype=bool)
-        for _ in range(_U_MAX_HALVINGS):
-            s = np.flatnonzero(searching)
-            if s.size == 0:
-                break
-            r = rows[s]
-            trial = np.full_like(u, math.nan)
-            trial[r] = u[r] + t[s, None] * step[s]
-            f_t, grad_t, hess_t = phi(trial)
-            ok = (f_t[r] < f[r]) & (f_t[r] <= f[r] + _ARMIJO_C1 * t[s] * slope[s])
-            acc = r[ok]
-            u[acc], f[acc], grad[acc], hess[acc] = trial[acc], f_t[acc], grad_t[acc], hess_t[acc]
-            searching[s[ok]] = False
-            t[s[~ok]] *= 0.5
-        active[rows[searching]] = False
-
-    finite = np.isfinite(f)
-    grad_norm = float(np.max(np.abs(grad[finite]))) if finite.any() else math.nan
-    return OptimResult(x=u, f=float(f.sum()), grad_norm=grad_norm, iters=iters,
-                       status=status)
-
-
 def mstep(
     W,
     model: PoFModel,
@@ -396,9 +291,8 @@ def mstep(
 ) -> PoFModel:
     """One full M-step; never decreases Q.
 
-    U: every row not in frozen_rows is solved to round-off by the batched
-    damped Newton of minimize, in chunks of rows whose (rows, L, T)
-    temporaries stay near _U_CHUNK_BYTES. alpha, then gamma: each entry solves
+    U: every row not in frozen_rows is solved to round-off by minimize, in
+    chunks of rows (_row_chunks). alpha, then gamma: each entry solves
     its 1-D stationarity equation (_solve_shape). Rows in frozen_rows keep
     their U and gamma values (used for all-silent frequency bins).
     """
@@ -413,7 +307,7 @@ def mstep(
     U_new = model.U.copy()
     for idx in _row_chunks(rows, stats):
         phi = partial(_u_rows_phi, w=W[idx], stats=stats, sum_ea=sum_ea, derivs=True)
-        U_new[idx] = minimize(phi, model.U[idx], lower, sum_ea).x
+        U_new[idx] = minimize(phi, model.U[idx], lower).x
 
     alpha_new = _update_shape(model.alpha, _alpha_c(stats))
 
@@ -433,7 +327,6 @@ def fit(
     W,
     cfg: EmConfig = EmConfig(),
     *,
-    threads: int = 1,
     log_sink=None,
 ) -> tuple[PoFModel, list[float]]:
     """Variational EM: alternate per-frame inference and M-steps.
@@ -443,9 +336,7 @@ def fit(
     per-iteration total-ELBO trace (non-decreasing up to float noise).
 
     Each iteration runs the E-step (infer_frames, warm-started from the
-    previous posteriors, with cfg.inner as its L-BFGS settings and threads
-    as its worker count), then one mstep. cfg.inner does not reach the
-    M-step, whose blocks are all solved to round-off; it runs serially.
+    previous posteriors), then one mstep.
     log_sink, when given, receives one formatted line per EM iteration: the
     bound, its growth, the E-step seconds (secs=) and the seconds of the
     M-step that produced this iteration's model (mstep_secs=, 0 at first).
@@ -480,9 +371,7 @@ def fit(
     mstep_secs = 0.0
     for it in range(1, cfg.max_em_iters + 1):
         t0 = time.perf_counter()
-        results = infer_frames(
-            data, model, cfg.inner, seed=cfg.seed, init=warm, threads=threads
-        )
+        results = infer_frames(data, model, seed=cfg.seed, init=warm)
         total = float(sum(r.elbo for r in results))
         trace.append(total)
         delta = total - prev if prev is not None else math.nan

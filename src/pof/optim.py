@@ -1,259 +1,187 @@
-"""Limited-memory BFGS minimizer with a strong-Wolfe line search.
+"""Batched damped Newton for stacks of independent smooth problems.
 
-The objective callback returns (value, gradient) and may return +inf (with
-an arbitrary gradient, which is ignored) at infeasible points; the line
-search treats +inf as "too far" and backtracks, so barrier-style
-constraints need no special handling. Accepted iterates are strictly
-monotone: every accepted step satisfies the Armijo condition and lowers
-the objective, so the sequence of accepted values decreases.
+minimize(phi, X0, lower) minimises n independent functions at once, one
+per row x of the (n, d) array X0, each subject to the box x > lower. Both
+EM steps use it: the E-step for the frames of a chunk in (nu, rho), the
+M-step for rows of U.
 
-The zoom phase stops on a bracket width *relative* to the bracket's end
-points, |a_hi - a_lo| <= 1e-14 max(|a_lo|, |a_hi|), so a bracket [0, a_hi]
-keeps shrinking however small a_hi is; only the evaluation budget ends it.
-Steep starts (gradients of 1e15, first Armijo steps near 1e-19) therefore
-still find a step instead of stopping on an absolute width of 1e-14.
+phi(X) takes an (n, d) stack and returns each row's value (n,), gradient
+(n, d) and Hessian (n, d, d). A row that is infeasible, or whose value or
+derivatives are not finite, has value +inf. Rows that are not being
+evaluated are passed as NaN and must come back as +inf.
 
-Curvature pairs with s'y <= 1e-10 ||s|| ||y|| are discarded, which keeps
-the implicit inverse-Hessian estimate positive definite. On a line-search
-failure the optimizer retries once from a steepest-descent direction with
-cleared history before giving up and returning the best iterate found.
-A solve that gives up before accepting any step reports "zero_progress":
-its x is the start point and nothing was optimized. "line_search_failed"
-is kept for solves that moved before their line search failed.
+Direction. Each row gets a modified Newton step (Nocedal & Wright,
+Numerical Optimization, 3.4): its Hessian is Jacobi-scaled,
+D = 1/sqrt(|diag H|). Where D H D has a Cholesky factor the step is the
+Newton step. Otherwise the eigenvalues of D H D are replaced by
+max(|lambda|, 1e-8 max|lambda|), which still gives a descent direction.
+The whole stack is factored at once and, only if that fails, each row
+alone; so which rule a row gets, and every reduction, depends on that row
+only, and a row's result does not depend on the rows that share its stack.
+
+Step. A row's first trial is the full step, or _BARRIER_FRACTION of the
+way to the box when the full step would leave it; it halves until the
+trial satisfies Armijo and strictly lowers the value, so accepted values
+strictly decrease. Only rows still searching are evaluated again, and an
+accepted trial's derivatives serve the next iteration.
+
+Each row ends with one status (row_status):
+  converged           the Newton decrement |g.d| fell below the rounding of
+                      the value, eps |f|, or, once a step has been
+                      accepted, a trial's predicted decrease t |g.d| did;
+  max_iters           still moving after _MAX_ITERS iterations;
+  line_search_failed  a backtrack ran out of halvings, or the step was not
+                      finite, after earlier steps were accepted;
+  ZERO_PROGRESS       the same, or a backtrack fell below rounding, before
+                      any step was accepted: x is the start;
+  FAILED_START        the start is infeasible: x is the start.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-
-__all__ = ["LbfgsConfig", "OptimResult", "minimize", "ZERO_PROGRESS"]
-
-_CURVATURE_SKIP = 1e-10
+__all__ = ["OptimResult", "minimize", "chunks", "ZERO_PROGRESS", "FAILED_START"]
 
 ZERO_PROGRESS = "zero_progress"
+FAILED_START = "failed: starting point is infeasible (objective not finite)"
 
-
-@dataclass(frozen=True)
-class LbfgsConfig:
-    memory: int = 40
-    max_iters: int = 500
-    grad_tol: float = 1e-5          # infinity norm of the gradient
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search: int = 40       # objective evaluations per line search
-
-    def __post_init__(self):
-        if self.memory < 1:
-            raise ValidationError("memory must be >= 1")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValidationError("need 0 < wolfe_c1 < wolfe_c2 < 1")
-        if self.max_iters < 1 or self.max_line_search < 1:
-            raise ValidationError("max_iters and max_line_search must be >= 1")
+# Newton iterations per row. At F=129, L=20 an E-step frame from the
+# default start takes about 25 and a first M-step row about 11; the cap only
+# bounds a row that keeps accepting steps without reaching round-off.
+_MAX_ITERS = 200
+_MAX_HALVINGS = 60
+_ARMIJO_C1 = 1e-4
+# A step that would leave the box starts its backtrack this fraction of the
+# way to it.
+_BARRIER_FRACTION = 0.99
+# Eigenvalues of the scaled Hessian are kept at least this fraction of the
+# largest one.
+_EIG_FLOOR = 1e-8
+_EPS = np.finfo(float).eps
+# Rows per stack are chosen so that the temporaries of one solve stay within
+# this many bytes (at least one row per stack).
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass
 class OptimResult:
+    """x (n, d) and f (n,) of every row, the Newton iterations begun (an
+    iteration whose backtrack accepts no step counts too), the status of
+    the first row that did not converge ("converged" when all did), and
+    every row's status."""
+
     x: np.ndarray
-    f: float
-    grad_norm: float
+    f: np.ndarray
     iters: int
-    # "converged" | "max_iters" | "line_search_failed" | ZERO_PROGRESS
     status: str
-    f_trace: list[float] = field(default_factory=list)
+    row_status: np.ndarray
 
 
-def _two_loop_direction(grad: np.ndarray, pairs) -> np.ndarray:
-    """L-BFGS two-loop recursion; returns -H_k * grad.
-
-    H_k implicitly applies the stored (s, y) updates to the scaled identity
-    (s'y / y'y) I built from the most recent pair.
-    """
-    if not pairs:
-        return -grad
-    q = grad.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
-        alphas.append(a)
-        q -= a * y
-    s, y, _ = pairs[-1]
-    q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q
+def chunks(items: np.ndarray, item_bytes: int) -> list[np.ndarray]:
+    """items split into stacks whose solves, holding item_bytes of
+    temporaries per item, stay within _CHUNK_BYTES."""
+    n = max(1, _CHUNK_BYTES // item_bytes)
+    return [items[i:i + n] for i in range(0, items.size, n)]
 
 
-def _cubic_trial(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
-    """Minimizer of the cubic through (a_lo, f_lo, g_lo), (a_hi, f_hi, g_hi).
-
-    Falls back to a quadratic fit when the high-side derivative is unusable
-    and to bisection when values are not finite. Returns a point strictly
-    inside the bracket.
-    """
-    lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
-    width = hi - lo
-    mid = 0.5 * (lo + hi)
-    if not (math.isfinite(f_hi) and width > 0.0):
-        return mid
-    trial = None
-    if math.isfinite(g_hi):
-        d1 = g_lo + g_hi - 3.0 * (f_lo - f_hi) / (a_lo - a_hi)
-        disc = d1 * d1 - g_lo * g_hi
-        if disc >= 0.0:
-            d2 = math.copysign(math.sqrt(disc), a_hi - a_lo)
-            denom = g_hi - g_lo + 2.0 * d2
-            if denom != 0.0:
-                trial = a_hi - (a_hi - a_lo) * (g_hi + d2 - d1) / denom
-    if trial is None:
-        denom = 2.0 * (f_hi - f_lo - g_lo * (a_hi - a_lo))
-        if denom != 0.0:
-            trial = a_lo - g_lo * (a_hi - a_lo) ** 2 / denom
-    if trial is None or not math.isfinite(trial):
-        return mid
-    return min(max(trial, lo + 0.1 * width), hi - 0.1 * width)
+def _directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The modified Newton step of each row; not finite for a row whose
+    Hessian is zero or not finite."""
+    diag = np.abs(np.diagonal(hess, axis1=1, axis2=2))
+    scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+    h = hess * scale[:, :, None] * scale[:, None, :]
+    h[~np.all(np.isfinite(h), axis=(1, 2))] = 0.0
+    sg = scale * grad
+    pd = _positive_definite(h)
+    step = np.empty_like(sg)
+    if pd.any():
+        step[pd] = np.linalg.solve(h[pd], sg[pd, :, None])[:, :, 0]
+    if not pd.all():
+        lam, vec = np.linalg.eigh(h[~pd])
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = (vec * sg[~pd, :, None]).sum(axis=1) / lam
+            step[~pd] = (vec * coef[:, None, :]).sum(axis=2)
+    return -scale * step
 
 
-class _LineSearch:
-    """Strong-Wolfe search along x + a d (Armijo + curvature |phi'| bound)."""
+def _positive_definite(h: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack h have a Cholesky factor. The whole stack
+    is tried at once; only if that fails is each matrix tried alone."""
+    def factors(m):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
-    def __init__(self, fg: Callable, x, f0, g0, d, cfg: LbfgsConfig):
-        self.fg = fg
-        self.x = x
-        self.d = d
-        self.f0 = f0
-        with np.errstate(over="ignore"):
-            self.dphi0 = float(g0 @ d)
-        self.c1 = cfg.wolfe_c1
-        self.c2 = cfg.wolfe_c2
-        self.budget = cfg.max_line_search
-        self.evals = 0
-        self.best = None  # best Armijo point: (a, f, g_vec)
-
-    def _phi(self, a: float):
-        f, g = self.fg(self.x + a * self.d)
-        self.evals += 1
-        f = float(f)
-        if math.isfinite(f):
-            with np.errstate(over="ignore"):
-                dphi = float(g @ self.d)
-        else:
-            f, dphi, g = math.inf, math.nan, None
-        if self._armijo(a, f) and (self.best is None or f < self.best[1]):
-            self.best = (a, f, g)
-        return f, dphi, g
-
-    def _armijo(self, a: float, f: float) -> bool:
-        # f < f0 as well: at steps below the resolution of x or f the Armijo
-        # bound rounds to f0 and would accept a step that changes nothing
-        return f <= self.f0 + self.c1 * a * self.dphi0 and f < self.f0
-
-    def _curvature(self, dphi: float) -> bool:
-        return abs(dphi) <= self.c2 * abs(self.dphi0)
-
-    def run(self, a_init: float):
-        """Return (a, f, g) for an accepted step, or None."""
-        if self.dphi0 >= 0.0:
-            return None
-        a_prev, f_prev, dphi_prev = 0.0, self.f0, self.dphi0
-        a = a_init
-        first = True
-        while self.evals < self.budget:
-            f, dphi, g = self._phi(a)
-            if not self._armijo(a, f) or (not first and f >= f_prev):
-                return self._zoom(a_prev, f_prev, dphi_prev, a, f, dphi)
-            if self._curvature(dphi):
-                return a, f, g
-            if dphi >= 0.0:
-                return self._zoom(a, f, dphi, a_prev, f_prev, dphi_prev)
-            a_prev, f_prev, dphi_prev = a, f, dphi
-            a *= 2.0
-            first = False
-        return self.best
-
-    def _zoom(self, a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi):
-        # Invariant: a_lo satisfies Armijo with known derivative; the
-        # minimizer is bracketed between a_lo and a_hi (in either order).
-        while self.evals < self.budget:
-            if abs(a_hi - a_lo) <= 1e-14 * max(abs(a_lo), abs(a_hi)):
-                break
-            a = _cubic_trial(a_lo, f_lo, dphi_lo, a_hi, f_hi, dphi_hi)
-            f, dphi, g = self._phi(a)
-            if not self._armijo(a, f) or f >= f_lo:
-                a_hi, f_hi, dphi_hi = a, f, dphi
-                continue
-            if self._curvature(dphi):
-                return a, f, g
-            if dphi * (a_hi - a_lo) >= 0.0:
-                a_hi, f_hi, dphi_hi = a_lo, f_lo, dphi_lo
-            a_lo, f_lo, dphi_lo = a, f, dphi
-        return self.best
+    if factors(h):
+        return np.ones(h.shape[0], dtype=bool)
+    return np.array([factors(m) for m in h])
 
 
-def minimize(f_and_grad: Callable, x0, cfg: LbfgsConfig = LbfgsConfig()) -> OptimResult:
-    """Minimize f via L-BFGS from a feasible x0.
-
-    f_and_grad(x) -> (value, gradient); +inf marks infeasible points and is
-    only ever rejected by line-search backtracking. Raises NumericalError
-    when f(x0) is not finite.
-    """
-    x = np.array(x0, dtype=float)
-    f, g = f_and_grad(x)
-    f = float(f)
-    if not math.isfinite(f):
-        raise NumericalError("starting point is infeasible (objective not finite)")
-    g = np.asarray(g, dtype=float)
-
-    pairs: deque = deque(maxlen=cfg.memory)
-    trace = [f]
+def minimize(phi, X0, lower) -> OptimResult:
+    """Minimise each row of X0 over x > lower by damped Newton (see the
+    module docstring). The benchmark's traced runs count evaluations and
+    time the solves by wrapping this function as pof.estep.minimize and
+    pof.mstep.minimize."""
+    x = np.array(X0, dtype=float)
+    f, grad, hess = phi(x)
+    status = np.full(x.shape[0], "converged", dtype=object)
+    active = np.isfinite(f)
+    status[~active] = FAILED_START
+    moved = np.zeros(x.shape[0], dtype=bool)
     iters = 0
-    status = "max_iters"
-
-    while True:
-        gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-        if gnorm <= cfg.grad_tol:
-            status = "converged"
+    while active.any():
+        rows = np.flatnonzero(active)
+        step = _directions(hess[rows], grad[rows])
+        slope = (grad[rows] * step).sum(axis=1)
+        # a Newton decrement below the rounding of f: converged
+        done = np.abs(slope) <= _EPS * np.abs(f[rows])
+        active[rows[done]] = False
+        rows, step, slope = rows[~done], step[~done], slope[~done]
+        if rows.size == 0:
             break
-        if iters >= cfg.max_iters:
-            status = "max_iters"
+        if iters == _MAX_ITERS:
+            status[rows] = "max_iters"
             break
-
-        d = _two_loop_direction(g, pairs)
-        with np.errstate(over="ignore"):
-            descent = float(d @ g) if np.all(np.isfinite(d)) else math.inf
-        if descent >= 0.0:
-            pairs.clear()
-            d = -g
-        a0 = 1.0 if pairs else min(1.0, 1.0 / max(float(np.sum(np.abs(g))), 1e-12))
-
-        step = _LineSearch(f_and_grad, x, f, g, d, cfg).run(a0)
-        if step is None and pairs:
-            # one retry along steepest descent with cleared history
-            pairs.clear()
-            d = -g
-            a0 = min(1.0, 1.0 / max(float(np.sum(np.abs(g))), 1e-12))
-            step = _LineSearch(f_and_grad, x, f, g, d, cfg).run(a0)
-        if step is None:
-            status = "line_search_failed" if iters else ZERO_PROGRESS
-            break
-
-        a, f_new, g_new = step
-        x_new = x + a * d
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > _CURVATURE_SKIP * float(np.linalg.norm(s) * np.linalg.norm(y)):
-            pairs.append((s, y, 1.0 / sy))
-        x, f, g = x_new, float(f_new), np.asarray(g_new, dtype=float)
-        trace.append(f)
         iters += 1
+        # the largest fraction of each step that keeps x > lower
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(step < 0, (x[rows] - lower) / -step, math.inf).min(axis=1)
+        t = np.minimum(1.0, _BARRIER_FRACTION * room)
+        searching = np.isfinite(slope)
+        stalled = ~searching
+        for _ in range(_MAX_HALVINGS):
+            # a predicted decrease below the rounding of f ends the row:
+            # converged if it has moved, at its start if it has not
+            low = searching & (t * np.abs(slope) <= _EPS * np.abs(f[rows]))
+            active[rows[low & moved[rows]]] = False
+            stalled |= low & ~moved[rows]
+            searching &= ~low
+            s = np.flatnonzero(searching)
+            if s.size == 0:
+                break
+            r = rows[s]
+            trial = np.full_like(x, math.nan)
+            trial[r] = x[r] + t[s, None] * step[s]
+            f_t, grad_t, hess_t = phi(trial)
+            ok = (f_t[r] < f[r]) & (f_t[r] <= f[r] + _ARMIJO_C1 * t[s] * slope[s])
+            acc = r[ok]
+            x[acc], f[acc] = trial[acc], f_t[acc]
+            grad[acc], hess[acc] = grad_t[acc], hess_t[acc]
+            moved[acc] = True
+            searching[s[ok]] = False
+            t[s[~ok]] *= 0.5
+        stuck = rows[stalled | searching]
+        active[stuck] = False
+        status[stuck] = np.where(moved[stuck], "line_search_failed", ZERO_PROGRESS)
 
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
-    return OptimResult(x=x, f=f, grad_norm=gnorm, iters=iters, status=status, f_trace=trace)
+    not_converged = np.flatnonzero(status != "converged")
+    summary = status[not_converged[0]] if not_converged.size else "converged"
+    return OptimResult(x=x, f=f, iters=iters, status=summary, row_status=status)

@@ -1,7 +1,7 @@
 """Gamma special functions and expectation kernels.
 
-Dependency-free numpy implementations of log-gamma, digamma and trigamma
-(one shared upward recurrence into the asymptotic range, then
+Dependency-free numpy implementations of log-gamma, digamma, trigamma and
+tetragamma (one shared upward recurrence into the asymptotic range, then
 Bernoulli-series tails),
 plus the gamma-distribution expectations every bound and gradient in the
 model needs: E[a], E[log a], differential entropy, and the log of
@@ -44,13 +44,15 @@ _BERNOULLI = (
 _LNG_COEF = tuple(b / ((2 * k) * (2 * k - 1)) for k, b in enumerate(_BERNOULLI, 1))
 # B_2k / (2k) for digamma.
 _PSI_COEF = tuple(b / (2 * k) for k, b in enumerate(_BERNOULLI, 1))
+# (2k + 1) B_2k for tetragamma.
+_PSI2_COEF = tuple((2 * k + 1) * b for k, b in enumerate(_BERNOULLI, 1))
 
 _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 
-# _gamma_fns: rows are the log-gamma, digamma and trigamma series
-# coefficients, applied to the powers (1/z**2)**k, k = 0..6; the factors
-# x + k, k = 0..7, make the upward shift to z = x + 8.
-_TAIL_COEF = np.array([_LNG_COEF, _PSI_COEF, _BERNOULLI])
+# _gamma_fns: rows are the log-gamma, digamma, trigamma and tetragamma
+# series coefficients, applied to the powers (1/z**2)**k, k = 0..6; the
+# factors x + k, k = 0..7, make the upward shift to z = x + 8.
+_TAIL_COEF = np.array([_LNG_COEF, _PSI_COEF, _BERNOULLI, _PSI2_COEF])
 _TAIL_POW = np.arange(len(_BERNOULLI), dtype=float)[:, None]
 _SHIFTS = np.arange(8, dtype=float)[:, None]
 
@@ -86,16 +88,26 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
-def _gamma_fns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log Gamma(x), psi(x), psi_1(x)) for x > 0, from one upward recurrence.
+def _gamma_fns(x: np.ndarray, bound: bool = False):
+    """(log Gamma(x), psi(x), psi_1(x)) for x > 0, from one upward
+    recurrence; with bound, also (psi_2(x), h(x), h'(x), h''(x)), where
+
+        h(x) = log Gamma(x) - x psi(x) + x,   h' = 1 - x psi_1,
+        h'' = -(psi_1 + x psi_2)
+
+    is the shape part of the gamma entropy and of the E-step bound.
 
     Entries below 8 are shifted to z = x + 8 through
-    Gamma(x) = Gamma(x + 8) / (x (x+1) ... (x+7)). The three asymptotic
+    Gamma(x) = Gamma(x + 8) / (x (x+1) ... (x+7)). The four asymptotic
     series share log z, 1/z and the powers of 1/z**2, so one matrix product
-    gives all three Bernoulli tails, and the shift's product and reciprocal
-    sums come from one (8, n) array. The E-step bound needs all three at
-    once; on short vectors the cost is per numpy call, so computing the two
-    it does not need costs little.
+    gives all four Bernoulli tails, and the shift's product and reciprocal
+    sums come from one (8, n) array. h and its derivatives take their own
+    series from the same tails: formed from the functions above, the terms
+    of size x log x cancel and leave an absolute error near
+    eps x log x (several thousand at x = 1e18). The E-step bound and its
+    Hessian need all of these at once. On short vectors the cost is per
+    numpy call: the first three cost little together, and the rest, about
+    twenty more calls, are made only for the callers that ask for them.
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
@@ -105,23 +117,37 @@ def _gamma_fns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     log_z = np.log(z)
     inv_z = 1.0 / z
     inv_sq = inv_z * inv_z
-    lng_tail, psi_tail, psi1_tail = _TAIL_COEF @ (inv_sq ** _TAIL_POW)
+    lng_tail, psi_tail, psi1_tail, psi2_tail = _TAIL_COEF @ (inv_sq ** _TAIL_POW)
     lng = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + lng_tail * inv_z
     psi = log_z - 0.5 * inv_z - psi_tail * inv_sq
     psi1 = inv_z + 0.5 * inv_sq + psi1_tail * inv_sq * inv_z
+    if bound:
+        psi2 = -inv_sq * (1.0 + inv_z + psi2_tail * inv_sq)
+        ent = 0.5 - 0.5 * log_z + _HALF_LOG_TWO_PI + (lng_tail + psi_tail) * inv_z
+        ent1 = -inv_z * (0.5 + psi1_tail * inv_z)
+        ent2 = inv_sq * (0.5 + (psi2_tail - psi1_tail) * inv_z)
     if small.any():
         # The product overflows only on the large branch, which where()
-        # discards. The reciprocal is squared, not x: x * x underflows to 0
-        # below about 1e-154, and psi_1 ~ 1/x**2 must overflow quietly to
-        # +inf instead of dividing by zero.
-        with np.errstate(over="ignore"):
+        # discards. The reciprocal is raised to powers, not x: x * x
+        # underflows to 0 below about 1e-154, and psi_1 ~ 1/x**2 and
+        # psi_2 ~ -2/x**3 must overflow quietly to +-inf instead of dividing
+        # by zero. Below 8, h and its derivatives lose at most a digit when
+        # formed from the functions themselves.
+        with np.errstate(over="ignore", invalid="ignore"):
             shifted = x + _SHIFTS
             inv = 1.0 / shifted
+            inv_sq_sh = inv * inv
             lng = np.where(small, lng - np.log(shifted.prod(axis=0)), lng)
             psi = np.where(small, psi - inv.sum(axis=0), psi)
-            psi1 = np.where(small, psi1 + (inv * inv).sum(axis=0), psi1)
+            psi1 = np.where(small, psi1 + inv_sq_sh.sum(axis=0), psi1)
+            if bound:
+                psi2 = np.where(small, psi2 - 2.0 * (inv_sq_sh * inv).sum(axis=0), psi2)
+                ent = np.where(small, lng - x * psi + x, ent)
+                ent1 = np.where(small, 1.0 - x * psi1, ent1)
+                ent2 = np.where(small, -(psi1 + x * psi2), ent2)
     lng = np.where((x == 1.0) | (x == 2.0), 0.0, lng)
-    return lng.reshape(shape), psi.reshape(shape), psi1.reshape(shape)
+    out = (lng, psi, psi1) + ((psi2, ent, ent1, ent2) if bound else ())
+    return tuple(v.reshape(shape) for v in out)
 
 
 def _ln_gamma(x: np.ndarray) -> np.ndarray:
@@ -154,11 +180,12 @@ def trigamma(x):
 def gamma_entropy(q: GammaParams):
     """Differential entropy of Gamma(shape, rate).
 
-    shape - log(rate) + log Gamma(shape) + (1 - shape) psi(shape).
+    shape - log(rate) + log Gamma(shape) + (1 - shape) psi(shape), formed as
+    psi(shape) + h(shape) - log(rate) (see _gamma_fns) so that it does not
+    cancel at large shape.
     """
-    nu = np.asarray(q.shape, dtype=float)
-    rho = np.asarray(q.rate, dtype=float)
-    out = nu - np.log(rho) + _ln_gamma(nu) + (1.0 - nu) * _digamma(nu)
+    _, psi, _, _, ent, _, _ = _gamma_fns(np.asarray(q.shape, dtype=float), bound=True)
+    out = psi + ent - np.log(np.asarray(q.rate, dtype=float))
     return _maybe_scalar(out, q.shape if np.ndim(q.shape) else q.rate)
 
 

@@ -4,7 +4,7 @@ missing-band pipeline against a mean-log-spectrum baseline."""
 import numpy as np
 import pytest
 
-from pof import (BandMask, FramePosterior, LbfgsConfig, NumericalError, PoFModel,
+from pof import (BandMask, FramePosterior, NumericalError, PoFModel,
                  Spectrogram, ValidationError, expand, reconstruct_point,
                  restrict_model, sample)
 from pof.dsp import apply_mask, log_spectral_distance
@@ -95,10 +95,9 @@ class TestExpand:
     def test_identity_mask_passthrough_and_posteriors(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(model.n_bins))
-        cfg = LbfgsConfig(max_iters=60)
-        result = expand(spec, model, mask, cfg, seed=9)
+        result = expand(spec, model, mask, seed=9)
         assert np.array_equal(result.reconstructed.data, spec.data)
-        direct = infer_frames(spec, model, cfg, seed=9)
+        direct = infer_frames(spec, model, seed=9)
         for p, r in zip(result.posteriors, direct):
             assert np.array_equal(p.nu, r.posterior.nu)
             assert np.array_equal(p.rho, r.posterior.rho)
@@ -106,7 +105,7 @@ class TestExpand:
     def test_observed_rows_pass_through_with_partial_mask(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        result = expand(spec, model, mask, LbfgsConfig(max_iters=40), seed=1)
+        result = expand(spec, model, mask, seed=1)
         assert np.array_equal(result.reconstructed.data[mask.kept], spec.data[mask.kept])
         outside = np.setdiff1d(np.arange(model.n_bins), mask.kept)
         assert not np.array_equal(
@@ -116,9 +115,9 @@ class TestExpand:
     def test_accepts_pre_masked_rows(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        full = expand(spec, model, mask, LbfgsConfig(max_iters=40), seed=1)
+        full = expand(spec, model, mask, seed=1)
         masked_spec = apply_mask(spec, mask)
-        pre = expand(masked_spec, model, mask, LbfgsConfig(max_iters=40), seed=1)
+        pre = expand(masked_spec, model, mask, seed=1)
         assert np.array_equal(full.reconstructed.data, pre.reconstructed.data)
 
     def test_wrong_bin_count_rejected(self, rng):
@@ -126,7 +125,7 @@ class TestExpand:
         mask = BandMask(np.arange(6, 18))
         bad = Spectrogram(spec.data[:10], spec.kind, spec.sample_rate, spec.n_fft, spec.hop)
         with pytest.raises(ValidationError):
-            expand(bad, model, mask, LbfgsConfig())
+            expand(bad, model, mask)
 
     def test_beats_mean_spectrum_baseline_on_missing_band(self, rng):
         # speaker-independent toy version of the telephone-band experiment
@@ -139,7 +138,7 @@ class TestExpand:
         n_sent = 12
         for s in range(n_sent):
             test_spec, _ = sample(truth, 30, seed=100 + s)
-            result = expand(test_spec, truth, mask, LbfgsConfig(max_iters=60), seed=s)
+            result = expand(test_spec, truth, mask, seed=s)
             baseline = np.exp(mean_log)[:, None] * np.ones((1, 30))
             base_spec = Spectrogram(baseline, "magnitude", test_spec.sample_rate,
                                     test_spec.n_fft, test_spec.hop)
@@ -153,13 +152,12 @@ class TestExpand:
         # expand must still treat it as failed
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        cfg = LbfgsConfig(max_iters=40)
-        real = infer_frames(spec.data[mask.kept], restrict_model(model, mask), cfg, seed=1)
+        real = infer_frames(spec.data[mask.kept], restrict_model(model, mask), seed=1)
         stuck = FrameResult(real[2].posterior, real[2].elbo, ZERO_PROGRESS)
         assert np.isfinite(stuck.elbo)
         monkeypatch.setattr("pof.bwe.infer_frames",
                             lambda *args, **kwargs: real[:2] + [stuck] + real[3:])
-        result = expand(spec, model, mask, cfg, seed=1)
+        result = expand(spec, model, mask, seed=1)
         assert np.array_equal(result.posteriors[2].nu, model.alpha)
         assert np.array_equal(result.posteriors[2].rho, model.alpha)
         prior_mean = reconstruct_point(model, FramePosterior(model.alpha, model.alpha))

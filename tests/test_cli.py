@@ -46,8 +46,7 @@ def test_bwe_dump_is_strict_json(rng, tmp_path):
     spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
     dump = tmp_path / "post.json"
     assert main(["bwe", spec, "-m", str(tmp_path / "model.json"),
-                 "-o", str(tmp_path / "out.pofs"), "--threads", "1",
-                 "--dump-posteriors", str(dump)]) == 0
+                 "-o", str(tmp_path / "out.pofs"), "--dump-posteriors", str(dump)]) == 0
     doc = load_strict_json(dump)
     assert [d["frame"] for d in doc] == [0, 1, 2]
     assert all(d["elbo"] is None for d in doc)  # bwe records no bound
@@ -62,10 +61,35 @@ def test_failed_encode_frame_dump_is_strict_json(tmp_path):
     spec = write_spec(tmp_path / "in.pofs", np.ones((2, 1)))
     dump = tmp_path / "post.json"
     assert main(["encode", spec, "-m", str(tmp_path / "model.json"),
-                 "-o", str(dump), "--threads", "1"]) == 0
+                 "-o", str(dump)]) == 0
     (record,) = load_strict_json(dump)
     assert record["elbo"] is None
     assert all(isinstance(v, float) for v in record["nu"] + record["rho"])
+
+
+def test_mgf_infeasible_bwe_is_exit_3(rng, tmp_path, capsys):
+    # bin 0 (0 Hz) is outside the 400-3400 Hz band, so inference never sees
+    # U[0, 0] = 50; the mgf estimate needs U < rho there and cannot have it
+    U = rng.normal(0.0, 0.3, size=(F, 2))
+    U[0, 0] = 50.0
+    save_model(PoFModel(U, np.ones(2), np.full(F, 2.0),
+                        ModelMeta(sample_rate=RATE, n_fft=N_FFT)), tmp_path / "model.json")
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    assert main(["bwe", spec, "-m", str(tmp_path / "model.json"), "--mode", "mgf",
+                 "-o", str(tmp_path / "out.pofs")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "pof: numerical failure: mgf reconstruction infeasible")
+
+
+def test_removed_config_key_is_exit_2(rng, tmp_path, capsys):
+    # the E-step has no thread pool and no solver settings any more
+    config = tmp_path / "pof.cfg"
+    config.write_text("threads=4\n")
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    assert main(["train", spec, "--config", str(config), "-o", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'threads'" in err
+    assert "valid keys: K, L, divergence, high_hz, hop, low_hz" in err
 
 
 def write_wav(path, samples):
@@ -88,15 +112,14 @@ def test_subcommands_smoke(rng, tmp_path):
     assert main(["stft", wav, "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2),
                  "-o", spec]) == 0
     assert load_spectrogram(spec).n_bins == F
-    assert main(["train", spec, "-L", "2", "--max-iters", "2", "--threads", "1",
-                 "-o", model]) == 0
+    assert main(["train", spec, "-L", "2", "--max-iters", "2", "-o", model]) == 0
     fitted = load_model(model)
     assert fitted.U.shape == (F, 2) and np.all(np.isfinite(fitted.U))
     assert main(["nmf-train", spec, "-K", "2", "-o", str(tmp_path / "nmf.json")]) == 0
     assert load_nmf_model(tmp_path / "nmf.json").K == 2
     feats = tmp_path / "feat.csv"
     assert main(["features", spec, "-m", model, "--deltas", "--smooth",
-                 "--median-length", "3", "--threads", "1", "-o", str(feats)]) == 0
+                 "--median-length", "3", "-o", str(feats)]) == 0
     assert load_features_csv(feats).data.shape == (6, load_spectrogram(spec).n_frames)
     synth = str(tmp_path / "synth.pofs")
     assert main(["synth", "-m", model, "-T", "5", "-o", synth]) == 0

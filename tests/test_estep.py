@@ -1,15 +1,18 @@
 """Mean-field inference tests: bound values against a scalar-loop oracle,
-analytic gradients against finite differences, and the importance-sampling
-upper-bound check on tiny instances."""
+analytic gradients against finite differences, the importance-sampling
+upper-bound check on tiny instances, and inferred bounds against scipy's
+L-BFGS-B."""
 
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from pof import (FramePosterior, LbfgsConfig, NumericalError, PoFModel,
-                 Spectrogram, ValidationError, elbo, elbo_grad, sample)
+from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
+                 elbo, elbo_grad, sample)
 from pof.estep import (default_posterior_init, dump_posteriors, floor_observations,
                        infer_frame, infer_frames)
 from pof.optim import ZERO_PROGRESS
@@ -61,6 +64,18 @@ class TestElbo:
             bound = elbo(w, model, post)
             log_p, se = importance_log_marginal(w, model, 200000, seed=100 + k)
             assert bound <= log_p + 3 * se
+
+    def test_concentrated_posterior_bound_is_smooth(self, rng):
+        # at a fixed mean nu / rho the bound of a concentrated posterior
+        # falls like -log(nu) / 2 per filter, the entropy of a near-normal
+        # gamma: each tenfold nu costs log(10) / 2 per filter
+        model = random_model(rng, 6, 3)
+        post = random_feasible_posterior(rng, model)
+        w = random_frame(rng, model)
+        bounds = [elbo(w, model, FramePosterior(post.nu * s, post.rho * s))
+                  for s in (1e14, 1e15, 1e16, 1e17, 1e18)]
+        step = -0.5 * math.log(10.0) * model.n_filters
+        assert np.allclose(np.diff(bounds), step, rtol=0.0, atol=1e-6)
 
     def test_dimension_mismatch(self, rng):
         model = random_model(rng, 6, 3)
@@ -119,7 +134,7 @@ class TestInferFrame:
         # U = 0 makes the likelihood independent of a; optimum is the prior.
         model = PoFModel(np.zeros((4, 2)), alpha=np.ones(2), gamma=np.ones(4))
         init = FramePosterior(np.full(2, 0.5), np.full(2, 2.0))
-        post, bound = infer_frame(np.ones(4), model, init, LbfgsConfig(grad_tol=1e-9))
+        post, bound = infer_frame(np.ones(4), model, init)
         assert np.allclose(post.mean(), 1.0, atol=1e-6)
         assert bound >= elbo(np.ones(4), model, init) - 1e-12
 
@@ -172,7 +187,7 @@ class TestInferFrame:
         model = PoFModel(U, np.full(L, 2.0), np.full(F, 50.0))
         w = np.exp(U @ np.array([2.0, 0.05, 0.05])) * rng.gamma(50.0, 1 / 50.0, size=F)
         start = FramePosterior(np.ones(L), -U.min(axis=0) * (1.0 + 1e-6))
-        result = infer_frames(w[:, None], model, LbfgsConfig(max_iters=80), init=[start])[0]
+        result = infer_frames(w[:, None], model, init=[start])[0]
         assert result.status != ZERO_PROGRESS
         assert not np.array_equal(result.posterior.nu, start.nu)
         assert result.elbo > elbo(w, model, start) + 1.0
@@ -200,7 +215,7 @@ class TestInferFrame:
         model = random_model(rng, 24, 3, u_scale=0.5)
         model = PoFModel(model.U, model.alpha, np.full(24, 30.0))
         spec, a_true = sample(model, 120, seed=5)
-        results = infer_frames(spec, model, LbfgsConfig(), seed=0)
+        results = infer_frames(spec, model, seed=0)
         hits = total = 0
         for t, r in enumerate(results):
             mean_log = model.U @ r.posterior.mean()
@@ -235,15 +250,47 @@ class TestInferFrames:
             assert np.array_equal(res_p[i].posterior.nu, res[t].posterior.nu)
             assert np.array_equal(res_p[i].posterior.rho, res[t].posterior.rho)
 
-    def test_serial_vs_parallel_bit_identical(self, rng):
+    def test_one_frame_calls_equal_multi_chunk_call(self, rng, monkeypatch):
+        # chunks of 5, 5 and 2 frames: each frame's result is bitwise the
+        # one it gets when solved alone
         model = random_model(rng, 8, 3)
-        W = rng.lognormal(size=(8, 12))
-        serial = infer_frames(W, model, seed=7, threads=1)
-        parallel = infer_frames(W, model, seed=7, threads=4)
-        for a, b in zip(serial, parallel):
+        W = floor_observations(rng.lognormal(size=(8, 12)))
+        monkeypatch.setattr(importlib.import_module("pof.estep"), "chunks",
+                            lambda items, _: [items[i:i + 5] for i in range(0, items.size, 5)])
+        batched = infer_frames(W, model, seed=7)
+        for t, b in enumerate(batched):
+            (a,) = infer_frames(W[:, t:t + 1], model,
+                                init=[default_posterior_init(model, 7, t)])
             assert np.array_equal(a.posterior.nu, b.posterior.nu)
             assert np.array_equal(a.posterior.rho, b.posterior.rho)
             assert a.elbo == b.elbo
+            assert a.status == b.status == "converged"
+
+    def test_bounds_at_least_scipy_optimum(self, rng):
+        # scipy's L-BFGS-B from the same start, on the same bound, inside
+        # the same box (nu > 0, rho > rho_min), is an independent solver
+        for _ in range(5):
+            model = random_model(rng, 8, 3, u_scale=0.5)
+            L = model.n_filters
+            W = floor_observations(rng.lognormal(sigma=0.7, size=(8, 3)))
+            results = infer_frames(W, model, seed=1)
+            rho_min = np.maximum(0.0, -model.U.min(axis=0))
+            box = [(1e-10, None)] * L + [(r * (1 + 1e-10) + 1e-10, None) for r in rho_min]
+            for t, r in enumerate(results):
+                def neg(x):
+                    post = FramePosterior(x[:L], x[L:])
+                    value = elbo(W[:, t], model, post)
+                    if not math.isfinite(value):
+                        return math.inf, np.zeros_like(x)
+                    return -value, -np.concatenate(elbo_grad(W[:, t], model, post))
+
+                start = default_posterior_init(model, 1, t)
+                ref = scipy.optimize.minimize(
+                    neg, np.concatenate((start.nu, start.rho)), jac=True,
+                    method="L-BFGS-B", bounds=box,
+                    options={"maxiter": 10000, "ftol": 1e-15, "gtol": 1e-12})
+                assert r.status == "converged"
+                assert r.elbo >= -ref.fun - 1e-9 * abs(ref.fun)
 
     def test_dump_format(self, rng, tmp_path):
         model = random_model(rng, 4, 2)

@@ -5,9 +5,9 @@ import importlib
 import numpy as np
 import pytest
 
-from pof import (FeatureMatrix, LbfgsConfig, PoFModel, Spectrogram, ValidationError,
-                 add_deltas, load_features_csv, median_smooth, mfcc, pofc,
-                 sample, save_features_csv)
+from pof import (FeatureMatrix, PoFModel, Spectrogram, ValidationError, add_deltas,
+                 infer_frames, load_features_csv, median_smooth, mfcc, pofc, sample,
+                 save_features_csv)
 from pof.features import dct_matrix, mel_filterbank
 from conftest import random_model
 
@@ -20,7 +20,7 @@ class TestPofc:
     def test_uninformative_model_gives_prior_mean(self, rng):
         model = PoFModel(np.zeros((6, 3)), np.ones(3), np.ones(6))
         W = spec_of(rng.lognormal(size=(6, 8)))
-        feat = pofc(W, model, LbfgsConfig(grad_tol=1e-8))
+        feat = pofc(W, model)
         assert feat.data.shape == (3, 8)
         assert np.allclose(feat.data, 1.0, atol=1e-5)
         assert feat.labels == ("pofc0", "pofc1", "pofc2")
@@ -28,7 +28,7 @@ class TestPofc:
     def test_nonnegative(self, rng):
         model = random_model(rng, 10, 3)
         spec, _ = sample(model, 12, seed=3)
-        feat = pofc(spec, model, LbfgsConfig(max_iters=60))
+        feat = pofc(spec, model)
         assert np.all(feat.data >= 0)
 
     def test_dominant_activation_discriminates(self, rng):
@@ -41,7 +41,10 @@ class TestPofc:
         acts = np.full((L, T), 0.05)
         acts[dominant, np.arange(T)] = 2.0
         W = np.exp(U @ acts) * rng.gamma(50.0, 1 / 50.0, size=(F, T))
-        feat = pofc(spec_of(W), model, LbfgsConfig(max_iters=80))
+        # concentrated posteriors (nu in the thousands) are solved to
+        # round-off, not stopped short of it
+        assert [r.status for r in infer_frames(spec_of(W), model)] == ["converged"] * T
+        feat = pofc(spec_of(W), model)
         z = (feat.data - feat.data.mean(axis=1, keepdims=True)) / (
             feat.data.std(axis=1, keepdims=True) + 1e-12
         )

@@ -1,186 +1,212 @@
-"""L-BFGS minimizer tests: convergence, barriers, and the two-loop
-recursion checked against a dense BFGS oracle."""
+"""Tests of the batched damped Newton solver: convergence, the Hessian
+modification, the box, and the meaning of every row status."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
-from pof import LbfgsConfig, NumericalError, minimize
-from pof.optim import _CURVATURE_SKIP, ZERO_PROGRESS, _two_loop_direction
+from pof import minimize
+from pof.optim import FAILED_START, ZERO_PROGRESS
+
+optim = importlib.import_module("pof.optim")
+
+
+def rowwise(fun):
+    """phi for minimize from fun(x) -> (f, g, H) of one row. NaN rows and
+    rows where fun gives a non-finite value come back as +inf."""
+    def phi(X):
+        n, d = X.shape
+        f = np.full(n, math.inf)
+        g = np.full((n, d), math.nan)
+        h = np.full((n, d, d), math.nan)
+        for i, x in enumerate(X):
+            if np.all(np.isfinite(x)):
+                f[i], g[i], h[i] = fun(x)
+        f[~np.isfinite(f)] = math.inf
+        return f, g, h
+    return phi
 
 
 def quadratic(x):
-    return float(x @ x), 2.0 * x
+    return float(x @ x), 2.0 * x, 2.0 * np.eye(x.size)
 
 
 def rosenbrock(x):
     a, b = x
     f = (1 - a) ** 2 + 100.0 * (b - a**2) ** 2
     g = np.array([-2 * (1 - a) - 400 * a * (b - a**2), 200 * (b - a**2)])
-    return f, g
+    h = np.array([[2 - 400 * (b - 3 * a**2), -400 * a], [-400 * a, 200.0]])
+    return f, g, h
+
+
+def quartic(x):
+    # saddle at 0, minima at +-(1/2, -1/2); indefinite Hessian near 0
+    f = float(np.sum(x**4) + x[0] * x[1])
+    g = np.array([4 * x[0] ** 3 + x[1], 4 * x[1] ** 3 + x[0]])
+    h = np.array([[12 * x[0] ** 2, 1.0], [1.0, 12 * x[1] ** 2]])
+    return f, g, h
+
+
+def free(d):
+    return np.full(d, -math.inf)
 
 
 class TestMinimize:
     def test_quadratic_fast(self):
-        rng = np.random.default_rng(0)
-        x0 = rng.normal(size=10)
-        res = minimize(quadratic, x0)
+        X0 = np.random.default_rng(0).normal(size=(3, 10))
+        res = minimize(rowwise(quadratic), X0, free(10))
         assert res.status == "converged"
-        assert np.max(np.abs(res.x)) < 1e-6
-        assert res.iters <= 5
+        assert list(res.row_status) == ["converged"] * 3
+        assert np.max(np.abs(res.x)) < 1e-12
+        assert res.iters <= 2
 
     def test_rosenbrock(self):
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]))
-        assert res.status == "converged"
-        assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
+        X0 = np.array([[-1.2, 1.0], [0.0, 1.0]])
+        # the second start has an indefinite Hessian: only the modified step
+        # is a descent direction there
+        assert np.linalg.eigvalsh(rosenbrock(X0[1])[2]).min() < 0
+        res = minimize(rowwise(rosenbrock), X0, free(2))
+        assert list(res.row_status) == ["converged", "converged"]
+        assert np.allclose(res.x, 1.0, atol=1e-8)
         # independent optimality check: the gradient vanishes there
-        _, g = rosenbrock(res.x)
-        assert np.max(np.abs(g)) <= 1e-5
+        for x in res.x:
+            assert np.max(np.abs(rosenbrock(x)[1])) <= 1e-8
+
+    def test_rows_independent_of_stack(self):
+        X0 = np.array([[-1.2, 1.0], [0.0, 1.0], [2.0, -3.0]])
+        together = minimize(rowwise(rosenbrock), X0, free(2))
+        for i in range(3):
+            alone = minimize(rowwise(rosenbrock), X0[i:i + 1], free(2))
+            assert np.array_equal(alone.x[0], together.x[i])
+            assert alone.f[0] == together.f[i]
 
     def test_barrier_respected(self):
-        def barrier(x):
-            if x[0] < 0:
-                return math.inf, np.zeros(1)
-            return float((x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
+        # the minimiser of (x + 1)^2 over x > 0 is on the box: every trial
+        # stays inside it, and the row stops at round-off next to it
+        seen = []
 
-        res = minimize(barrier, np.array([2.0]))
-        assert res.x[0] == pytest.approx(1.0, abs=1e-6)
-        assert math.isfinite(res.f)
-        # every accepted value is finite, hence feasible
-        assert all(math.isfinite(v) for v in res.f_trace)
+        def shifted(x):
+            seen.append(x[0])
+            return quadratic(x + 1.0)
 
-    def test_monotone_accepted_values(self):
-        def quartic(x):
-            return float(np.sum(x**4) + x[0] * x[1]), \
-                np.array([4 * x[0] ** 3 + x[1], 4 * x[1] ** 3 + x[0]])
+        res = minimize(rowwise(shifted), np.array([[2.0]]), np.zeros(1))
+        assert res.status == "converged"
+        assert 0.0 < res.x[0, 0] < 1e-12
+        assert math.isfinite(res.f[0])
+        assert all(v > 0.0 for v in seen)
 
-        res = minimize(quartic, np.array([2.0, -3.0]))
-        assert all(b <= a + 1e-15 for a, b in zip(res.f_trace, res.f_trace[1:]))
-        assert res.f <= quartic(np.array([2.0, -3.0]))[0]
+    def test_interior_minimum_inside_box(self):
+        res = minimize(rowwise(lambda x: quadratic(x - 1.0)), np.array([[2.0]]), np.zeros(1))
+        assert res.status == "converged"
+        assert res.x[0, 0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_infeasible_start_raises(self):
-        def f(x):
-            return math.inf, np.zeros_like(x)
+    def test_monotone_accepted_values(self, monkeypatch):
+        # the solve capped at k iterations is the first k iterations of the
+        # uncapped one, so its values are the accepted values in order
+        x0 = np.array([[2.0, -3.0]])
+        values = [quartic(x0[0])[0]]
+        for k in range(1, 100):
+            monkeypatch.setattr(optim, "_MAX_ITERS", k)
+            res = minimize(rowwise(quartic), x0, free(2))
+            assert res.iters == k
+            values.append(res.f[0])
+            if res.status == "converged":
+                break
+            assert res.status == "max_iters"
+        assert res.status == "converged"
+        assert len(values) >= 4
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert np.allclose(np.abs(res.x[0]), 0.5, atol=1e-8)
 
-        with pytest.raises(NumericalError):
-            minimize(f, np.array([1.0]))
+    def test_infeasible_start_row_kept(self):
+        def positive(x):
+            if x[0] <= 0.0:
+                return math.inf, np.zeros(1), np.zeros((1, 1))
+            return quadratic(x - 3.0)
+
+        X0 = np.array([[-1.0], [1.0]])
+        res = minimize(rowwise(positive), X0, free(1))
+        assert list(res.row_status) == [FAILED_START, "converged"]
+        assert res.status == FAILED_START
+        assert res.x[0, 0] == -1.0 and res.f[0] == math.inf
+        assert res.x[1, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_already_converged(self):
-        res = minimize(quadratic, np.zeros(4))
+        X0 = np.zeros((1, 4))
+        res = minimize(rowwise(quadratic), X0, free(4))
         assert res.status == "converged"
         assert res.iters == 0
+        assert np.array_equal(res.x, X0)
 
-    def test_max_iters_status(self):
-        cfg = LbfgsConfig(max_iters=2, grad_tol=1e-14)
-        res = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
+    def test_max_iters_status(self, monkeypatch):
+        monkeypatch.setattr(optim, "_MAX_ITERS", 2)
+        res = minimize(rowwise(rosenbrock), np.array([[-1.2, 1.0]]), free(2))
         assert res.status == "max_iters"
         assert res.iters == 2
 
     @pytest.mark.parametrize("x0", [1e-13, 1e-15])
     def test_steep_start_next_to_barrier_converges(self, x0):
-        # -log x + x has |f'(x0)| = 1/x0: the first trial step 1/|g| is far
-        # too long and the first Armijo step is smaller still, so the zoom
-        # has to shrink a bracket [0, a] that is below 1e-14 wide
+        # -log x + x has |f'(x0)| = 1/x0 and f''(x0) = 1/x0^2: the Newton
+        # step only doubles x, so the solve has to climb many decades
         def f(x):
-            if x[0] <= 0.0:
-                return math.inf, np.zeros(1)
-            return -math.log(x[0]) + x[0], np.array([1.0 - 1.0 / x[0]])
+            return -math.log(x[0]) + x[0], np.array([1.0 - 1.0 / x[0]]), \
+                np.full((1, 1), 1.0 / x[0] ** 2)
 
-        res = minimize(f, np.array([x0]))
+        res = minimize(rowwise(f), np.array([[x0]]), np.zeros(1))
         assert res.status == "converged"
-        assert res.x[0] == pytest.approx(1.0, abs=1e-4)
+        assert res.x[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_no_accepted_step_is_zero_progress(self):
-        # the reported gradient points uphill, so every step along -g raises f
+        # the reported gradient points uphill, so every step along the
+        # Newton direction raises f: the one iteration begun accepts no
+        # step, and its backtrack falls below rounding with x at its start
         def liar(x):
-            return float(x @ x), -2.0 * x
+            return float(x @ x), -2.0 * x, 2.0 * np.eye(x.size)
 
-        x0 = np.array([1.0, -2.0])
-        res = minimize(liar, x0)
+        x0 = np.array([[1.0, -2.0]])
+        res = minimize(rowwise(liar), x0, free(2))
         assert res.status == ZERO_PROGRESS
-        assert res.iters == 0
+        assert res.iters == 1
         assert np.array_equal(res.x, x0)
 
     def test_failure_after_progress_is_line_search_failed(self):
-        # the minimizer over the feasible set x >= 2 sits on the barrier,
-        # where the gradient does not vanish: the solve moves, then stalls
+        # x^2 - 4 over x >= 2 (a wall the box does not know) has its
+        # minimiser on the wall, where the gradient does not vanish. Next to
+        # it f is near 0, so the rounding of f, eps |f|, is far below the
+        # predicted decrease of any step short enough to stay feasible.
         def walled(x):
             if x[0] < 2.0:
-                return math.inf, np.zeros(1)
-            return float(x[0] ** 2), np.array([2.0 * x[0]])
+                return math.inf, np.zeros(1), np.zeros((1, 1))
+            return float(x[0] ** 2 - 4.0), np.array([2.0 * x[0]]), np.full((1, 1), 2.0)
 
-        res = minimize(walled, np.array([3.0]))
+        res = minimize(rowwise(walled), np.array([[3.0]]), free(1))
         assert res.status == "line_search_failed"
         assert res.iters >= 1
-        assert 2.0 <= res.x[0] < 3.0
+        assert 2.0 <= res.x[0, 0] < 2.0 + 1e-12
 
-    def test_config_validation(self):
-        with pytest.raises(Exception):
-            LbfgsConfig(wolfe_c1=0.5, wolfe_c2=0.1)
-        with pytest.raises(Exception):
-            LbfgsConfig(memory=0)
+    def test_backtrack_below_rounding_is_converged(self):
+        # the same wall under x^2, whose value there is 4: once no feasible
+        # step can lower f by more than its rounding the row has converged
+        def walled(x):
+            if x[0] < 2.0:
+                return math.inf, np.zeros(1), np.zeros((1, 1))
+            return float(x[0] ** 2), np.array([2.0 * x[0]]), np.full((1, 1), 2.0)
 
+        res = minimize(rowwise(walled), np.array([[3.0]]), free(1))
+        assert res.status == "converged"
+        assert 2.0 <= res.x[0, 0] < 2.0 + 1e-12
 
-def dense_bfgs_direction(g, pairs):
-    """Oracle: build H explicitly from the stored pairs applied to the
-    scaled identity, then return -H g. Matrix form of the same operator the
-    two-loop recursion applies implicitly."""
-    n = g.size
-    s_last, y_last, _ = pairs[-1]
-    H = np.eye(n) * (s_last @ y_last) / (y_last @ y_last)
-    for s, y, rho in pairs:
-        I = np.eye(n)
-        V = I - rho * np.outer(s, y)
-        H = V @ H @ V.T + rho * np.outer(s, s)
-    return -H @ g
+    def test_zero_hessian_row_kept(self):
+        # a linear row has no Newton step; it keeps its value and reports
+        # that no step was taken, while the other row is solved
+        def mixed(x):
+            if x[1] < 0.5:
+                return float(x[0]), np.array([1.0, 0.0]), np.zeros((2, 2))
+            return quadratic(x - np.array([0.0, 2.0]))
 
-
-class TestTwoLoop:
-    def test_matches_dense_bfgs_on_quadratic(self):
-        rng = np.random.default_rng(42)
-        n, m = 5, 8
-        A = rng.normal(size=(n, n))
-        Q = A @ A.T + np.eye(n)
-        b = rng.normal(size=n)
-
-        def fg(x):
-            return float(0.5 * x @ Q @ x - b @ x), Q @ x - b
-
-        x = rng.normal(size=n)
-        f, g = fg(x)
-        pairs = []
-        for _ in range(m):
-            d = _two_loop_direction(g, pairs)
-            if pairs:
-                assert np.allclose(d, dense_bfgs_direction(g, pairs), rtol=1e-10)
-            # exact line search on the quadratic keeps the test deterministic
-            denom = d @ Q @ d
-            step = -(g @ d) / denom
-            x_new = x + step * d
-            f_new, g_new = fg(x_new)
-            s, y = x_new - x, g_new - g
-            pairs.append((s, y, 1.0 / (s @ y)))
-            x, f, g = x_new, f_new, g_new
-        assert np.max(np.abs(g)) < 1e-8  # full-memory BFGS solves a 5-D quadratic
-
-    def test_empty_history_is_steepest_descent(self):
-        g = np.array([3.0, -4.0])
-        assert np.array_equal(_two_loop_direction(g, []), -g)
-
-
-def test_degenerate_curvature_pairs_are_skipped():
-    # A function engineered so consecutive gradients are equal (flat valley):
-    # y = 0 -> s'y = 0 -> the pair must be rejected, keeping H well defined.
-    calls = []
-
-    def f(x):
-        calls.append(x.copy())
-        return float(np.abs(x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
-
-    res = minimize(f, np.array([3.0]))
-    assert res.status == "converged"
-    # direct check of the skip rule used by minimize
-    s = np.array([1e-8, 0.0])
-    y = np.array([0.0, 1e-20])
-    assert s @ y <= _CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y)
+        X0 = np.array([[1.0, 0.0], [1.0, 1.0]])
+        res = minimize(rowwise(mixed), X0, free(2))
+        assert list(res.row_status) == [ZERO_PROGRESS, "converged"]
+        assert np.array_equal(res.x[0], X0[0])

@@ -13,8 +13,9 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from pof import GammaParams, ValidationError
-from pof.specfn import (_trigamma, digamma, gamma_entropy, gamma_expect_a,
-                        gamma_expect_log_a, ln_gamma, log_gamma_mgf, trigamma)
+from pof.specfn import (_gamma_fns, _trigamma, digamma, gamma_entropy,
+                        gamma_expect_a, gamma_expect_log_a, ln_gamma, log_gamma_mgf,
+                        trigamma)
 
 
 def euler_gamma_series(n=200):
@@ -113,12 +114,26 @@ _POSITIVE = st.floats(min_value=math.log(1e-8), max_value=math.log(1e8)).map(mat
     (ln_gamma, sp.gammaln),
     (digamma, sp.digamma),
     (trigamma, lambda x: sp.polygamma(1, x)),
-], ids=["ln_gamma", "digamma", "trigamma"])
+    (lambda x: float(_gamma_fns(np.array(x), bound=True)[3]), lambda x: sp.polygamma(2, x)),
+], ids=["ln_gamma", "digamma", "trigamma", "tetragamma"])
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(x=_POSITIVE)
 def test_matches_scipy_property(ours, ref, x):
     want = float(ref(x))
     assert abs(ours(x) - want) <= 1e-11 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("x", [0.3, 3.0, 7.9, 8.1, 50.0, 1e6, 1e12])
+def test_entropy_part_derivatives_match_differences(x):
+    # h = log Gamma - x psi + x and the h', h'' returned with it
+    def part(v):
+        return _gamma_fns(np.array([v]), bound=True)[4:]
+
+    _, h1, h2 = (float(v[0]) for v in part(x))
+    step = 1e-4 * x
+    up, down = part(x + step), part(x - step)
+    assert float(up[0][0] - down[0][0]) / (2 * step) == pytest.approx(h1, rel=1e-6)
+    assert float(up[1][0] - down[1][0]) / (2 * step) == pytest.approx(h2, rel=1e-6)
 
 
 class TestGammaEntropy:
@@ -145,6 +160,15 @@ class TestGammaEntropy:
             assert gamma_entropy(GammaParams(nu, rho)) == pytest.approx(
                 gamma_entropy(GammaParams(nu, 1.0)) - math.log(rho), rel=1e-10, abs=1e-10
             )
+
+    @pytest.mark.parametrize("nu", [1e6, 1e12, 1e18])
+    def test_concentrated_normal_limit(self, nu):
+        # Gamma(nu, nu) tends to N(1, 1/nu), with entropy
+        # 0.5 log(2 pi e / nu) - 1/(3 nu) + O(1/nu^2). Summed term by term,
+        # the formula's terms of size nu log nu would cancel to an error of
+        # thousands at nu = 1e18.
+        want = 0.5 * math.log(2.0 * math.pi * math.e / nu) - 1.0 / (3.0 * nu)
+        assert gamma_entropy(GammaParams(nu, nu)) == pytest.approx(want, abs=1e-11)
 
     def test_monte_carlo(self):
         rng = np.random.default_rng(11)
