@@ -7,7 +7,9 @@ full-band filters. The default point estimate is taken in the log-spectral
 domain, exp(U E[a]), which is the more stable of the two candidates and
 matches how loudness is perceived; the alternative product-of-MGFs
 estimate is available behind the mode flag. Observed bins are passed
-through unmodified: only missing content is synthesized.
+through unmodified: only missing content is synthesized. An audio clip
+is analysed at the model's n_fft with hop n_fft/2, the framing the
+model's training spectrograms are assumed to have.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .dsp import AudioClip, StftConfig, stft_magnitude
 from .errors import NumericalError, ValidationError
-from .estep import FrameResult, infer_frames
+from .estep import infer_frames
 from .model import BandMask, FramePosterior, PoFModel, Spectrogram
 from .optim import ZERO_PROGRESS
 
@@ -32,16 +34,12 @@ RECON_MODES = ("log_domain", "mgf")
 class BweResult:
     reconstructed: Spectrogram
     posteriors: list[FramePosterior]
-    mask: BandMask
 
 
 def restrict_model(model: PoFModel, mask: BandMask) -> PoFModel:
     """Row-select U and gamma down to the masked bins; alpha is unchanged."""
-    if int(mask.kept[-1]) >= model.n_bins:
-        raise ValidationError(
-            f"mask index {int(mask.kept[-1])} out of range for F={model.n_bins}"
-        )
-    return PoFModel(model.U[mask.kept], model.alpha, model.gamma[mask.kept], model.meta)
+    U, gamma = (mask.select(x, model.n_bins) for x in (model.U, model.gamma))
+    return PoFModel(U, model.alpha, gamma, model.meta)
 
 
 def reconstruct_point(model: PoFModel, post: FramePosterior, mode: str = "log_domain") -> np.ndarray:
@@ -77,16 +75,19 @@ def expand(
 ) -> BweResult:
     """Infer activations from the band-limited observation and fill the band.
 
-    source may be an AudioClip (analyzed with the model's FFT size and 50%
-    overlap) or a Spectrogram carrying either all F rows or exactly the
-    masked rows. Frames whose inference fails (a non-finite bound) or makes
-    no progress (status ZERO_PROGRESS, whose posterior is only its random
-    start) fall back to the prior-mean posterior (E[a] = 1), i.e. the
-    model's mean log-spectrum.
+    source may be an AudioClip at the model's sample rate (analysed with
+    the model's n_fft and hop n_fft/2) or a Spectrogram carrying either
+    all F rows or exactly the masked rows. Frames whose inference fails
+    (a non-finite bound) or makes no progress (status ZERO_PROGRESS, whose
+    posterior is only its random start) fall back to the prior-mean
+    posterior (E[a] = 1), i.e. the model's mean log-spectrum.
     """
     if mode not in RECON_MODES:
         raise ValidationError(f"mode must be one of {RECON_MODES}")
     if isinstance(source, AudioClip):
+        if source.sample_rate != model.meta.sample_rate:
+            raise ValidationError(f"clip sample rate {source.sample_rate:g} Hz does not "
+                                  f"match the model's {model.meta.sample_rate:g} Hz")
         n_fft = model.meta.n_fft
         spec = stft_magnitude(source, StftConfig(n_fft=n_fft, hop=n_fft // 2))
     elif isinstance(source, Spectrogram):
@@ -94,16 +95,7 @@ def expand(
     else:
         raise ValidationError("source must be an AudioClip or Spectrogram")
 
-    if spec.n_bins == model.n_bins:
-        observed = spec.data[mask.kept]
-    elif spec.n_bins == mask.size:
-        observed = spec.data
-    else:
-        raise ValidationError(
-            f"source has {spec.n_bins} bins; expected {model.n_bins} (full band) "
-            f"or {mask.size} (masked rows)"
-        )
-
+    observed = mask.select(spec.data, model.n_bins)
     sub = restrict_model(model, mask)
     results = infer_frames(observed, sub, seed=seed)
     posteriors = []
@@ -116,4 +108,4 @@ def expand(
     recon = np.column_stack([reconstruct_point(model, p, mode) for p in posteriors])
     recon[mask.kept] = observed
     out = Spectrogram(recon, spec.kind, spec.sample_rate, spec.n_fft, spec.hop)
-    return BweResult(reconstructed=out, posteriors=posteriors, mask=mask)
+    return BweResult(reconstructed=out, posteriors=posteriors)

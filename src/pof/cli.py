@@ -16,9 +16,10 @@ import numpy as np
 
 from . import __version__
 from .bwe import expand
-from .dsp import StftConfig, band_mask, load_wav, log_spectral_distance, stft_magnitude, stft_power
+from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_distance,
+                  stft_magnitude, stft_power)
 from .errors import DataFormatError, NumericalError, PofError, ValidationError
-from .estep import dump_posteriors, infer_frames
+from .estep import FrameResult, dump_posteriors, infer_frames
 from .features import add_deltas, median_smooth, mfcc, pofc, save_features_csv
 from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sample,
                     save_model, save_spectrogram)
@@ -97,20 +98,11 @@ class ResolvedConfig:
             seed=self["seed"],
         )
 
-    def stft(self) -> StftConfig:
-        return StftConfig(n_fft=self["n_fft"], hop=self["hop"])
 
-
-def config_resolve(args) -> ResolvedConfig:
-    return ResolvedConfig(args)
-
-
-def _load_spec_or_wav(path, cfg: ResolvedConfig) -> Spectrogram:
+def _load_spec_or_wav(path) -> Spectrogram | AudioClip:
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == POFS_MAGIC:
-        return load_spectrogram(path)
-    return stft_magnitude(load_wav(path), cfg.stft())
+    return load_spectrogram(path) if magic == POFS_MAGIC else load_wav(path)
 
 
 def _concat_specs(paths) -> Spectrogram:
@@ -130,16 +122,17 @@ def _info(msg: str) -> None:
 
 
 def cmd_stft(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
+    stft = StftConfig(n_fft=cfg["n_fft"], hop=cfg["hop"])
     clip = load_wav(args.input)
-    spec = stft_power(clip, cfg.stft()) if args.power else stft_magnitude(clip, cfg.stft())
+    spec = stft_power(clip, stft) if args.power else stft_magnitude(clip, stft)
     save_spectrogram(spec, args.output)
     _info(f"wrote {args.output} (F={spec.n_bins}, T={spec.n_frames}, kind={spec.kind})")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     spec = _concat_specs(args.inputs)
     model, trace = fit(spec, cfg.em(), log_sink=_info)
     save_model(model, args.output)
@@ -149,7 +142,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     spec = load_spectrogram(args.input)
     model = load_model(args.model)
     results = infer_frames(spec, model, seed=cfg["seed"])
@@ -159,15 +152,14 @@ def cmd_encode(args) -> int:
 
 
 def cmd_bwe(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     model = load_model(args.model)
-    spec = _load_spec_or_wav(args.input, cfg)
+    source = _load_spec_or_wav(args.input)
     mask = band_mask(model.n_bins, model.meta.sample_rate, model.meta.n_fft,
                      cfg["low_hz"], cfg["high_hz"])
-    result = expand(spec, model, mask, seed=cfg["seed"], mode=args.mode)
+    result = expand(source, model, mask, seed=cfg["seed"], mode=args.mode)
     save_spectrogram(result.reconstructed, args.output)
     if args.dump_posteriors:
-        from .estep import FrameResult
         records = [FrameResult(p, float("nan"), "bwe") for p in result.posteriors]
         dump_posteriors(records, args.dump_posteriors)
     _info(f"wrote {args.output} ({mask.size} observed bins of {model.n_bins})")
@@ -175,7 +167,7 @@ def cmd_bwe(args) -> int:
 
 
 def cmd_nmf_train(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     spec = _concat_specs(args.inputs)
     model, fit_result = nmf_fit(spec, cfg["K"], cfg["divergence"], seed=cfg["seed"],
                                 rel_tol=cfg["rel_tol"])
@@ -186,7 +178,7 @@ def cmd_nmf_train(args) -> int:
 
 
 def cmd_nmf_bwe(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     model = load_nmf_model(args.model)
     spec = load_spectrogram(args.input)
     mask = band_mask(model.n_bins, spec.sample_rate, spec.n_fft,
@@ -198,7 +190,7 @@ def cmd_nmf_bwe(args) -> int:
 
 
 def cmd_features(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     spec = load_spectrogram(args.input)
     if args.mfcc:
         feat = mfcc(spec, n_coeffs=cfg["n_mfcc"], n_mels=cfg["n_mels"])
@@ -218,7 +210,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_eval_lsd(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     a = load_spectrogram(args.a)
     b = load_spectrogram(args.b)
     mask = None
@@ -230,7 +222,7 @@ def cmd_eval_lsd(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = config_resolve(args)
+    cfg = ResolvedConfig(args)
     model = load_model(args.model)
     spec, _ = sample(model, args.frames, cfg["seed"])
     save_spectrogram(spec, args.output)
@@ -279,7 +271,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bwe", help="bandwidth expansion with a trained model")
-    p.add_argument("input", help="WAV or POFS")
+    p.add_argument("input", help="POFS, or WAV at the model's sample rate "
+                                 "(analysed at the model's n_fft, hop n_fft/2)")
     p.add_argument("-m", "--model", required=True)
     p.add_argument("--low", dest="low_hz", type=float, default=None)
     p.add_argument("--high", dest="high_hz", type=float, default=None)
@@ -343,13 +336,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"pof: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, DataFormatError) as exc:
-        print(f"pof: {exc}", file=sys.stderr)
-        return 2
-    except PofError as exc:
-        print(f"pof: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PofError, OSError) as exc:
         print(f"pof: {exc}", file=sys.stderr)
         return 2
 

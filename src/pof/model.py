@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,10 @@ class ModelMeta:
     sample_rate: float = 16000.0
     n_fft: int = 1024
     created_by: str = "pof"
+
+    def __post_init__(self):
+        if not 0 < self.sample_rate < np.inf or self.n_fft < 1:
+            raise ValidationError("meta needs a positive finite sample_rate and n_fft >= 1")
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,18 @@ class BandMask:
     def size(self) -> int:
         return int(self.kept.size)
 
+    def select(self, data: np.ndarray, n_bins: int) -> np.ndarray:
+        """The masked rows of data, which holds either all n_bins rows or
+        exactly the masked ones; the mask must fit n_bins."""
+        if int(self.kept[-1]) >= n_bins:
+            raise ValidationError(f"mask index {int(self.kept[-1])} out of range for F={n_bins}")
+        if data.shape[0] == n_bins:
+            return data[self.kept]
+        if data.shape[0] == self.size:
+            return data
+        raise ValidationError(f"input has {data.shape[0]} bins; expected {n_bins} "
+                              f"(full band) or {self.size} (masked rows)")
+
 
 @dataclass(frozen=True)
 class Spectrogram:
@@ -155,18 +171,17 @@ class Spectrogram:
     sample_rate: float
     n_fft: int
     hop: int
-    band: BandMask | None = None  # set when rows were selected by apply_mask
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2:
-            raise ValidationError("spectrogram data must be 2-D (bins x frames)")
+        if data.ndim != 2 or data.size == 0:
+            raise ValidationError("spectrogram data must be 2-D (bins x frames) and non-empty")
         if not np.all(np.isfinite(data)) or np.any(data < 0):
             raise ValidationError("spectrogram entries must be finite and non-negative")
         if self.kind not in _KIND_TO_CODE:
             raise ValidationError(f"kind must be one of {sorted(_KIND_TO_CODE)}")
-        if self.sample_rate <= 0:
-            raise ValidationError("sample_rate must be positive")
+        if not 0 < self.sample_rate < np.inf:
+            raise ValidationError("sample_rate must be positive and finite")
         if self.n_fft <= 0 or not (0 < self.hop <= self.n_fft):
             raise ValidationError("need n_fft > 0 and 0 < hop <= n_fft")
         _freeze(self, "data", data)
@@ -222,67 +237,78 @@ def expected_log_spectrum(model: PoFModel, a: np.ndarray) -> np.ndarray:
 # Model JSON
 
 
-def save_model(model: PoFModel, path) -> None:
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "F": model.n_bins,
-        "L": model.n_filters,
-        "U": [[float(v) for v in row] for row in model.U],
-        "alpha": [float(v) for v in model.alpha],
-        "gamma": [float(v) for v in model.gamma],
-        "meta": {
-            "sample_rate": model.meta.sample_rate,
-            "n_fft": model.meta.n_fft,
-            "created_by": model.meta.created_by,
-        },
-    }
+def _write_json_doc(doc: dict, path) -> None:
+    """Write one model document as a single line of JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise DataFormatError(f"model file missing field '{key}'")
-    return doc[key]
-
-
-def load_model(path) -> PoFModel:
+def _read_json_doc(path, fmt: str, version: int, arrays: dict, fields=()) -> dict:
+    """Read a model document: check its format and version, that the fields,
+    the arrays (name -> dimension fields) and their non-negative integer
+    dimensions are present, and give each array as floats of its shape.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"model file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also a file that is not UTF-8
+        raise DataFormatError(f"{fmt} file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise DataFormatError("model file must contain a JSON object")
-    if doc.get("format") != MODEL_FORMAT:
-        raise DataFormatError(f"field 'format' must be '{MODEL_FORMAT}'")
-    if doc.get("version") != MODEL_VERSION:
-        raise DataFormatError(f"unsupported model version {doc.get('version')!r}")
-    F, L = _require(doc, "F"), _require(doc, "L")
+        raise DataFormatError(f"{fmt} file must contain a JSON object")
+    if doc.get("format") != fmt:
+        raise DataFormatError(f"field 'format' must be '{fmt}'")
+    if doc.get("version") != version:
+        raise DataFormatError(f"unsupported {fmt} version {doc.get('version')!r}")
+    dims = dict.fromkeys(d for shape in arrays.values() for d in shape)
+    for key in (*dims, *arrays, *fields):
+        if key not in doc:
+            raise DataFormatError(f"{fmt} file missing field '{key}'")
+    for key in dims:
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise DataFormatError(f"field '{key}' must be a non-negative integer")
+    for key, shape in arrays.items():
+        try:
+            value = np.asarray(doc[key])
+        except ValueError as exc:  # a ragged nesting of lists
+            raise DataFormatError(f"field '{key}' is not a numeric array: {exc}") from exc
+        if value.dtype.kind not in "iuf":
+            raise DataFormatError(f"field '{key}' is not a numeric array")
+        expected = tuple(doc[d] for d in shape)
+        if value.shape != expected:
+            raise ValidationError(f"field '{key}' has shape {value.shape}, expected {expected}")
+        doc[key] = value.astype(float)
+    return doc
+
+
+def save_model(model: PoFModel, path) -> None:
+    _write_json_doc({
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "F": model.n_bins,
+        "L": model.n_filters,
+        "U": model.U.tolist(),
+        "alpha": model.alpha.tolist(),
+        "gamma": model.gamma.tolist(),
+        "meta": asdict(model.meta),
+    }, path)
+
+
+def load_model(path) -> PoFModel:
+    doc = _read_json_doc(path, MODEL_FORMAT, MODEL_VERSION,
+                         {"U": ("F", "L"), "alpha": ("L",), "gamma": ("F",)})
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise DataFormatError("field 'meta' must be a JSON object")
     try:
-        U = np.asarray(_require(doc, "U"), dtype=float)
-        alpha = np.asarray(_require(doc, "alpha"), dtype=float)
-        gamma = np.asarray(_require(doc, "gamma"), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"model file has a non-numeric array field: {exc}") from exc
-    if U.shape != (F, L):
-        raise ValidationError(f"field 'U' has shape {U.shape}, expected ({F}, {L})")
-    if alpha.shape != (L,):
-        raise ValidationError(f"field 'alpha' has length {alpha.shape}, expected {L}")
-    if gamma.shape != (F,):
-        raise ValidationError(f"field 'gamma' has length {gamma.shape}, expected {F}")
-    meta_doc = doc.get("meta", {})
-    meta = ModelMeta(
-        sample_rate=float(meta_doc.get("sample_rate", 16000.0)),
-        n_fft=int(meta_doc.get("n_fft", 1024)),
-        created_by=str(meta_doc.get("created_by", "unknown")),
-    )
-    try:
-        return PoFModel(U, alpha, gamma, meta)
+        meta = ModelMeta(float(meta.get("sample_rate", 16000.0)),
+                         int(meta.get("n_fft", 1024)),
+                         str(meta.get("created_by", "unknown")))
+        return PoFModel(doc["U"], doc["alpha"], doc["gamma"], meta)
     except ValidationError as exc:
         raise ValidationError(f"model file invalid: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"model file has a malformed 'meta' field: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .errors import NumericalError, ValidationError
 from .estep import floor_observations, infer_frames
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram
 from .optim import chunks, minimize
-from .specfn import _digamma, _ln_gamma, _trigamma
+from .specfn import _digamma, _ln_gamma, _shape_eq
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
            "grad_alpha", "grad_gamma", "mstep", "fit"]
@@ -246,8 +246,8 @@ def _solve_shape(c: np.ndarray) -> np.ndarray:
     """
     x = 2.0 / (c * (1.0 + (c + 18.0) / (np.sqrt((c - 3.0) ** 2 + 24.0 * c) + 3.0)))
     for _ in range(_SHAPE_NEWTON_STEPS):
-        x = 1.0 / (1.0 / x + (np.log(x) - _digamma(x) - c)
-                   / (x * x * (1.0 / x - _trigamma(x))))
+        lhs, slope = _shape_eq(x)
+        x = 1.0 / (1.0 / x + (lhs - c) / (x * (x * slope)))
     return x
 
 

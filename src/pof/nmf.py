@@ -9,14 +9,13 @@ cost; iteration stops when the relative cost decrease drops below rel_tol
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, ValidationError
-from .model import BandMask, Spectrogram
+from .errors import ValidationError
+from .model import BandMask, Spectrogram, _read_json_doc, _write_json_doc
 
 __all__ = [
     "NmfModel",
@@ -173,18 +172,10 @@ def nmf_encode(
     Only the masked rows of V participate; the same multiplicative H update
     and stopping rule as nmf_fit apply.
     """
-    data = _as_data(W_bl)
-    if int(mask.kept[-1]) >= model.n_bins:
-        raise ValidationError("mask out of range for this dictionary")
-    V_bl = model.V[mask.kept]
+    V_bl = mask.select(model.V, model.n_bins)
     if np.any(V_bl.sum(axis=0) == 0):
         raise ValidationError("masked dictionary has an all-zero column")
-    if data.shape[0] == model.n_bins:
-        data = data[mask.kept]
-    elif data.shape[0] != mask.size:
-        raise ValidationError(
-            f"W_bl has {data.shape[0]} bins; expected {model.n_bins} or {mask.size}"
-        )
+    data = mask.select(_as_data(W_bl), model.n_bins)
     T = data.shape[1]
     rng = np.random.default_rng([int(seed), _STREAM_NMF, 1])
     H = np.array(H0, dtype=float) if H0 is not None else rng.uniform(0.1, 1.1, (model.K, T))
@@ -206,14 +197,7 @@ def nmf_expand(
     """Reconstruct the full band as V H_bl, passing observed rows through."""
     if not isinstance(W_bl, Spectrogram):
         raise ValidationError("nmf_expand needs a Spectrogram input")
-    if W_bl.n_bins == model.n_bins:
-        observed = W_bl.data[mask.kept]
-    elif W_bl.n_bins == mask.size:
-        observed = W_bl.data
-    else:
-        raise ValidationError(
-            f"W_bl has {W_bl.n_bins} bins; expected {model.n_bins} or {mask.size}"
-        )
+    observed = mask.select(W_bl.data, model.n_bins)
     H = nmf_encode(observed, model, mask, seed=seed, rel_tol=rel_tol, max_iters=max_iters)
     recon = model.V @ H
     recon[mask.kept] = observed
@@ -221,38 +205,16 @@ def nmf_expand(
 
 
 def save_nmf_model(model: NmfModel, path) -> None:
-    doc = {
+    _write_json_doc({
         "format": NMF_FORMAT,
         "version": NMF_VERSION,
         "F": model.n_bins,
         "K": model.K,
         "divergence": model.divergence,
-        "V": [[float(v) for v in row] for row in model.V],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        "V": model.V.tolist(),
+    }, path)
 
 
 def load_nmf_model(path) -> NmfModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"NMF model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != NMF_FORMAT:
-        raise DataFormatError(f"field 'format' must be '{NMF_FORMAT}'")
-    if doc.get("version") != NMF_VERSION:
-        raise DataFormatError(f"unsupported NMF model version {doc.get('version')!r}")
-    for key in ("F", "K", "divergence", "V"):
-        if key not in doc:
-            raise DataFormatError(f"NMF model file missing field '{key}'")
-    try:
-        V = np.asarray(doc["V"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"field 'V' is not numeric: {exc}") from exc
-    if V.shape != (doc["F"], doc["K"]):
-        raise ValidationError(
-            f"field 'V' has shape {V.shape}, expected ({doc['F']}, {doc['K']})"
-        )
-    return NmfModel(V, doc["divergence"])
+    doc = _read_json_doc(path, NMF_FORMAT, NMF_VERSION, {"V": ("F", "K")}, ("divergence",))
+    return NmfModel(doc["V"], doc["divergence"])

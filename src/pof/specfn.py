@@ -162,6 +162,21 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     return _gamma_fns(x)[2]
 
 
+def _shape_eq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log x - psi(x), 1/x - psi_1(x)) for a vector x > 0: the left side
+    of the shape equation and its derivative. From x = 8 on both come from
+    the Bernoulli tails alone, 0.5/x + psi_tail/x**2 and
+    -(0.5/x**2 + psi1_tail/x**3); formed from psi and psi_1 they cancel,
+    to noise once x nears 1/eps.
+    """
+    _, psi, psi1 = _gamma_fns(x)
+    inv = 1.0 / np.maximum(x, 8.0)
+    psi_tail, psi1_tail = _TAIL_COEF[1:3] @ ((inv * inv) ** _TAIL_POW)
+    large = x >= 8.0
+    return (np.where(large, inv * (0.5 + psi_tail * inv), np.log(x) - psi),
+            np.where(large, -inv * inv * (0.5 + psi1_tail * inv), 1.0 / x - psi1))
+
+
 def ln_gamma(x):
     """log Gamma(x) for x > 0."""
     return _maybe_scalar(_ln_gamma(_checked(x, "x")), x)

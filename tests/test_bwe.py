@@ -36,8 +36,9 @@ class TestRestrictModel:
 
     def test_out_of_range(self, rng):
         model = random_model(rng, 8, 3)
-        with pytest.raises(ValidationError):
-            restrict_model(model, BandMask([8]))
+        for kept in ([8], [0, 3, 9]):
+            with pytest.raises(ValidationError, match="out of range"):
+                restrict_model(model, BandMask(kept))
 
 
 class TestReconstructPoint:

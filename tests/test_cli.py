@@ -1,14 +1,17 @@
 """End-to-end checks of `pof` subcommands through cli.main on tiny files."""
 
+import functools
 import json
+import struct
 import wave
 
 import numpy as np
 import pytest
 
-from pof import (ModelMeta, PoFModel, Spectrogram, band_mask, load_features_csv,
+from pof import (ModelMeta, NmfModel, PoFModel, Spectrogram, band_mask, load_features_csv,
                  load_model, load_nmf_model, load_spectrogram, log_spectral_distance,
-                 save_model, save_spectrogram)
+                 save_model, save_nmf_model, save_spectrogram)
+from pof import cli
 from pof.cli import main
 
 RATE, N_FFT, F = 8000.0, 16, 9
@@ -102,6 +105,39 @@ def write_wav(path, samples):
     return str(path)
 
 
+# The tiny models have one filter or atom and one-decimal values, so that
+# their files are short: the truncation test runs main once per prefix.
+def write_tiny_model(path, rng, sample_rate=RATE):
+    save_model(PoFModel(np.round(rng.normal(0.0, 0.3, size=(F, 1)), 1), np.ones(1),
+                        np.full(F, 2.0), ModelMeta(sample_rate=sample_rate, n_fft=N_FFT)), path)
+    return str(path)
+
+
+def write_tiny_nmf_model(path, rng):
+    save_nmf_model(NmfModel(np.round(rng.uniform(0.1, 1.0, size=(F, 1)), 1), "kl"), path)
+    return str(path)
+
+
+def test_bwe_on_wav_matches_stft_then_bwe(rng, tmp_path):
+    # a WAV is analysed at the model's n_fft with hop n_fft/2, as `pof stft` would
+    model = write_tiny_model(tmp_path / "model.json", rng)
+    wav = write_wav(tmp_path / "in.wav", 0.3 * rng.normal(size=8 * 21))
+    spec = str(tmp_path / "in.pofs")
+    assert main(["bwe", wav, "-m", model, "-o", str(tmp_path / "wav.pofs")]) == 0
+    assert main(["stft", wav, "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2),
+                 "-o", spec]) == 0
+    assert main(["bwe", spec, "-m", model, "-o", str(tmp_path / "pofs.pofs")]) == 0
+    assert (tmp_path / "wav.pofs").read_bytes() == (tmp_path / "pofs.pofs").read_bytes()
+
+
+def test_bwe_on_wav_at_another_rate_is_exit_2(rng, tmp_path, capsys):
+    model = write_tiny_model(tmp_path / "model.json", rng, sample_rate=2 * RATE)
+    wav = write_wav(tmp_path / "in.wav", 0.3 * rng.normal(size=8 * 21))
+    assert main(["bwe", wav, "-m", model, "-o", str(tmp_path / "out.pofs")]) == 2
+    err = capsys.readouterr().err
+    assert "clip sample rate 8000 Hz does not match the model's 16000 Hz" in err
+
+
 def test_subcommands_smoke(rng, tmp_path):
     # stft -> train -> features / synth, and nmf-train, on a 20-frame clip
     t = np.arange(8 * 21) / RATE
@@ -139,3 +175,78 @@ def test_missing_input_is_exit_2(tmp_path, argv):
 
 def test_usage_error_is_exit_1():
     assert main(["train"]) == 1
+
+
+def every_prefix_is_exit_2(tmp_path, blob, argv):
+    """main(argv) with {bad} naming each strict prefix of blob in turn."""
+    bad = tmp_path / "bad"
+    for n in range(len(blob)):
+        bad.write_bytes(blob[:n])
+        assert main([a.format(bad=bad) for a in argv]) == 2, f"prefix of {n} bytes"
+
+
+def test_truncated_inputs_are_exit_2(rng, tmp_path, capsys, monkeypatch):
+    # building the parser is nine tenths of a failing call; build it once
+    monkeypatch.setattr(cli, "build_parser", functools.lru_cache(cli.build_parser))
+    model = write_tiny_model(tmp_path / "model.json", rng)
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 1)))
+    out = str(tmp_path / "out")
+    # a model file ends in a newline; the prefix without it is a whole document
+    model_doc = (tmp_path / "model.json").read_bytes().rstrip(b"\n")
+    every_prefix_is_exit_2(tmp_path, model_doc, ["synth", "-m", "{bad}", "-T", "1", "-o", out])
+    every_prefix_is_exit_2(tmp_path, (tmp_path / "in.pofs").read_bytes(),
+                           ["bwe", "{bad}", "-m", model, "-o", out])
+    write_tiny_nmf_model(tmp_path / "nmf.json", rng)
+    every_prefix_is_exit_2(tmp_path, (tmp_path / "nmf.json").read_bytes().rstrip(b"\n"),
+                           ["nmf-bwe", spec, "-m", "{bad}", "-o", out])
+    assert all(line.startswith("pof: ") for line in capsys.readouterr().err.splitlines())
+
+
+# case id -> (format, field, malformed value, part of the error message)
+MALFORMED = {
+    "meta_list": ("pof-model", "meta", [1], "'meta' must be a JSON object"),
+    "meta_n_fft_text": ("pof-model", "meta", {"n_fft": "abc"}, "malformed 'meta'"),
+    "meta_n_fft_inf": ("pof-model", "meta", {"n_fft": 1e400}, "malformed 'meta'"),
+    "meta_rate_nan": ("pof-model", "meta", {"sample_rate": np.nan}, "finite sample_rate"),
+    "F_text": ("pof-model", "F", "9", "'F' must be a non-negative integer"),
+    "L_float": ("pof-model", "L", 1.0, "'L' must be a non-negative integer"),
+    "U_text": ("pof-model", "U", [["0.5"]] * F, "'U' is not a numeric array"),
+    "alpha_bool": ("pof-model", "alpha", [True], "'alpha' is not a numeric array"),
+    "gamma_ragged": ("pof-model", "gamma", [[1.0]] * (F - 1) + [[1.0, 2.0]], "'gamma' is not"),
+    "version": ("pof-model", "version", 2, "unsupported pof-model version 2"),
+    "K_negative": ("pof-nmf", "K", -1, "'K' must be a non-negative integer"),
+    "V_null": ("pof-nmf", "V", [[None]] * F, "'V' is not a numeric array"),
+    "divergence_list": ("pof-nmf", "divergence", ["kl"], "divergence must be one of"),
+}
+
+
+@pytest.mark.parametrize("fmt, field, value, message", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_model_field_is_exit_2(rng, tmp_path, capsys, fmt, field, value, message):
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 2)))
+    path = tmp_path / "model.json"
+    if fmt == "pof-model":
+        argv = ["synth", "-m", write_tiny_model(path, rng), "-T", "1", "-o", str(tmp_path / "out")]
+    else:
+        argv = ["nmf-bwe", spec, "-m", write_tiny_nmf_model(path, rng), "-o", str(tmp_path / "out")]
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pof: ") and message in err
+
+
+@pytest.mark.parametrize("offset, field, message", [
+    (9, struct.pack("<I", 0), "non-empty"),      # T = 0 frames
+    (14, struct.pack("<d", np.nan), "sample_rate must be positive and finite"),
+], ids=["no_frames", "nan_sample_rate"])
+def test_malformed_pofs_header_is_exit_2(rng, tmp_path, capsys, offset, field, message):
+    # the header follows the 4-byte magic and the version byte: F, T, kind, rate
+    path = tmp_path / "in.pofs"
+    write_spec(path, rng.lognormal(size=(F, 2)))
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(field)] = field
+    path.write_bytes(bytes(blob))
+    assert main(["bwe", str(path), "-m", write_tiny_model(tmp_path / "m.json", rng),
+                 "-o", str(tmp_path / "out.pofs")]) == 2
+    assert message in capsys.readouterr().err

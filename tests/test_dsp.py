@@ -166,7 +166,6 @@ class TestApplyMask:
         mask = BandMask(np.arange(8))
         out = apply_mask(spec, mask)
         assert np.array_equal(out.data, spec.data)
-        assert out.band is mask
 
     def test_singleton(self, rng):
         spec = Spectrogram(rng.lognormal(size=(8, 3)), "magnitude", 16000, 14, 7)
@@ -183,6 +182,19 @@ class TestApplyMask:
         spec = Spectrogram(rng.lognormal(size=(8, 3)), "magnitude", 16000, 14, 7)
         with pytest.raises(ValidationError):
             apply_mask(spec, BandMask([7, 8]))
+
+    @pytest.mark.parametrize("rows", [8, 3], ids=["full_band", "masked_rows"])
+    def test_select_takes_full_band_or_masked_rows(self, rng, rows):
+        data = rng.lognormal(size=(8, 3))
+        mask = BandMask([2, 4, 6])
+        given = data if rows == 8 else data[mask.kept]
+        assert np.array_equal(mask.select(given, 8), data[mask.kept])
+
+    @pytest.mark.parametrize("kept, rows", [([2, 4, 6], 5), ([7, 8], 8), ([7, 8], 2)],
+                             ids=["wrong_row_count", "out_of_range", "out_of_range_masked"])
+    def test_select_rejects(self, kept, rows):
+        with pytest.raises(ValidationError):
+            BandMask(kept).select(np.ones((rows, 3)), 8)
 
 
 class TestLogSpectralDistance:

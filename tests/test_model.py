@@ -4,11 +4,41 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pof import (DataFormatError, FramePosterior, ModelMeta, PoFModel, Spectrogram,
                  ValidationError, expected_log_spectrum, load_model,
                  load_spectrogram, sample, save_model, save_spectrogram)
 from conftest import random_model
+
+# Round-trip fuzz: every example rewrites one file under tmp_path.
+fuzz = settings(max_examples=20, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+finite = st.floats(-1e300, 1e300)
+positive = st.floats(1e-300, 1e300)
+
+
+def arrays(shape, elements):
+    return hnp.arrays(float, shape, elements=elements)
+
+
+@st.composite
+def models(draw):
+    F, L = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    meta = ModelMeta(draw(st.floats(1e-3, 1e9)), draw(st.integers(1, 2**20)),
+                     draw(st.text(max_size=6)))
+    return PoFModel(draw(arrays((F, L), finite)), draw(arrays(L, positive)),
+                    draw(arrays(F, positive)), meta)
+
+
+@st.composite
+def spectrograms(draw):
+    n_fft = draw(st.integers(1, 2**32 - 1))
+    shape = hnp.array_shapes(min_dims=2, max_dims=2, max_side=5)
+    return Spectrogram(draw(arrays(shape, st.floats(0.0, 1e300))),
+                       draw(st.sampled_from(["magnitude", "power"])),
+                       draw(st.floats(1e-3, 1e9)), n_fft, draw(st.integers(1, n_fft)))
 
 
 class TestTypes:
@@ -38,6 +68,8 @@ class TestTypes:
             Spectrogram(np.ones((3, 2)), "loudness", 16000, 1024, 512)
         with pytest.raises(ValidationError):
             Spectrogram(np.ones((3, 2)), "magnitude", 16000, 1024, 2048)
+        with pytest.raises(ValidationError):
+            Spectrogram(np.ones((3, 0)), "magnitude", 16000, 1024, 512)
 
 
 class TestSample:
@@ -109,8 +141,10 @@ class TestExpectedLogSpectrum:
 
 
 class TestModelSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        model = random_model(rng, 5, 3, meta=ModelMeta(8000.0, 256, "test"))
+    @fuzz
+    @given(model=models(), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_round_trip(self, tmp_path, model, cut):
+        # and a cut anywhere before the end is not a model file
         path = tmp_path / "m.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -118,6 +152,10 @@ class TestModelSerialization:
         assert np.array_equal(loaded.alpha, model.alpha)
         assert np.array_equal(loaded.gamma, model.gamma)
         assert loaded.meta == model.meta
+        blob = path.read_bytes().rstrip(b"\n")
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(DataFormatError):
+            load_model(path)
 
     def test_negative_alpha_rejected(self, rng, tmp_path):
         model = random_model(rng, 4, 2)
@@ -157,16 +195,20 @@ class TestModelSerialization:
 
 
 class TestSpectrogramSerialization:
-    def test_round_trip_bit_identical(self, rng, tmp_path):
-        data = rng.lognormal(size=(9, 7))
-        spec = Spectrogram(data, "power", 22050.0, 512, 128)
+    @fuzz
+    @given(spec=spectrograms(), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_round_trip_bit_identical(self, tmp_path, spec, cut):
+        # and a cut anywhere before the end is not a POFS file
         path = tmp_path / "s.pofs"
         save_spectrogram(spec, path)
         loaded = load_spectrogram(path)
         assert np.array_equal(loaded.data, spec.data)
         assert (loaded.kind, loaded.sample_rate, loaded.n_fft, loaded.hop) == (
-            "power", 22050.0, 512, 128,
-        )
+            spec.kind, spec.sample_rate, spec.n_fft, spec.hop)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(DataFormatError):
+            load_spectrogram(path)
 
     def test_truncated_file(self, rng, tmp_path):
         spec = Spectrogram(rng.lognormal(size=(4, 4)), "magnitude", 16000, 1024, 512)

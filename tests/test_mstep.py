@@ -15,7 +15,7 @@ from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationErro
 from pof.estep import floor_observations, infer_frames
 from pof.mstep import (SufficientStats, _alpha_c, _gamma_c, _solve_shape,
                        _u_row_q, _u_rows_phi)
-from pof.specfn import _digamma, gamma_entropy, GammaParams
+from pof.specfn import _shape_eq, gamma_entropy, GammaParams
 from conftest import (central_diff, q_oracle, random_feasible_posterior,
                       random_model)
 
@@ -333,12 +333,16 @@ class TestURowNewton:
 
 class TestSolveShape:
     def test_residual_over_range(self):
-        # the residual is relative to max(1, c): one ulp of c = 1e4 is 1.8e-12
-        c = np.logspace(-8, 30, 2001)
+        # the residual is relative to c; log x - psi(x) is taken from
+        # _shape_eq, since log(x) - _digamma(x) cancels at x ~ 1/(2c)
+        c = np.logspace(-20, 30, 2001)
         x = _solve_shape(c)
         assert np.all(x > 0)
-        resid = np.abs(np.log(x) - _digamma(x) - c) / np.maximum(1.0, c)
-        assert np.max(resid) < 1e-12
+        assert np.max(np.abs(_shape_eq(x)[0] - c) / c) < 1e-12
+        # below c = 1e-7 the expansion of the root is exact to rounding
+        small = c <= 1e-7
+        series = 1.0 / (2.0 * c[small]) + 1.0 / 6.0 + c[small] / 18.0
+        assert np.max(np.abs(x[small] - series) / series) < 1e-13
 
 
 class TestFit:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pof import (BandMask, NmfModel, Spectrogram, ValidationError, load_nmf_model,
-                 nmf_encode, nmf_expand, nmf_fit, save_nmf_model)
+from pof import (BandMask, DataFormatError, NmfModel, Spectrogram, ValidationError,
+                 load_nmf_model, nmf_encode, nmf_expand, nmf_fit, save_nmf_model)
 from pof.nmf import _cost
 
 
@@ -150,14 +152,22 @@ class TestNmfExpand:
 
 
 class TestNmfSerialization:
-    def test_round_trip(self, rng, tmp_path):
-        model, _ = nmf_fit(spec_of(rng.lognormal(size=(6, 8))), 3, "is", seed=7,
-                           max_iters=20)
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(V=hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+                        elements=st.floats(0.0, 1e300)),
+           divergence=st.sampled_from(["kl", "is"]), cut=st.floats(0.0, 1.0, exclude_max=True))
+    def test_round_trip(self, tmp_path, V, divergence, cut):
+        # and a cut anywhere before the end is not a model file
+        assume(np.all(V.sum(axis=0) > 0))
         path = tmp_path / "nmf.json"
-        save_nmf_model(model, path)
+        save_nmf_model(NmfModel(V, divergence), path)
         loaded = load_nmf_model(path)
-        assert np.array_equal(loaded.V, model.V)
-        assert loaded.divergence == "is"
+        assert np.array_equal(loaded.V, V) and loaded.divergence == divergence
+        blob = path.read_bytes().rstrip(b"\n")
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(DataFormatError):
+            load_nmf_model(path)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -13,7 +13,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from pof import GammaParams, ValidationError
-from pof.specfn import (_gamma_fns, _trigamma, digamma, gamma_entropy,
+from pof.specfn import (_gamma_fns, _shape_eq, _trigamma, digamma, gamma_entropy,
                         gamma_expect_a, gamma_expect_log_a, ln_gamma, log_gamma_mgf,
                         trigamma)
 
@@ -134,6 +134,19 @@ def test_entropy_part_derivatives_match_differences(x):
     up, down = part(x + step), part(x - step)
     assert float(up[0][0] - down[0][0]) / (2 * step) == pytest.approx(h1, rel=1e-6)
     assert float(up[1][0] - down[1][0]) / (2 * step) == pytest.approx(h2, rel=1e-6)
+
+
+def test_shape_eq_against_mpmath():
+    # log x - psi(x) and 1/x - psi_1(x) to 50 digits, up to x near 1/eps
+    # and beyond, where forming them from psi and psi_1 cancels
+    mpmath = pytest.importorskip("mpmath")
+    x = np.logspace(-3, 20, 47)
+    lhs, slope = _shape_eq(x)
+    with mpmath.workdps(50):
+        for xi, li, si in zip(x, lhs, slope):
+            m = mpmath.mpf(xi)
+            assert li == pytest.approx(float(mpmath.log(m) - mpmath.digamma(m)), rel=1e-14)
+            assert si == pytest.approx(float(1 / m - mpmath.psi(1, m)), rel=1e-14)
 
 
 class TestGammaEntropy:
