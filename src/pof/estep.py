@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import FramePosterior, PoFModel, Spectrogram
+from .model import FramePosterior, PoFModel, check_spectrum
 from .optim import FAILED_START, chunks, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
@@ -72,13 +72,15 @@ class FrameResult:
     status: str
 
 
-def floor_observations(data) -> np.ndarray:
-    """Apply the relative observation floor to a non-negative array."""
-    arr = np.asarray(getattr(data, "data", data), dtype=float)
-    top = arr.max()
-    if not np.isfinite(top) or top <= 0:
-        raise ValidationError("cannot floor an all-zero or non-finite spectrogram")
-    return np.maximum(arr, OBS_FLOOR_REL * top)
+def floor_observations(W) -> np.ndarray:
+    """W, a Spectrogram or an array, floored at OBS_FLOOR_REL times its
+    maximum. W must pass check_spectrum (2-D, non-empty, finite,
+    non-negative) and hold a positive entry, else ValidationError."""
+    data = check_spectrum(W)
+    top = data.max()
+    if top <= 0:
+        raise ValidationError("cannot floor an all-zero spectrogram")
+    return np.maximum(data, OBS_FLOOR_REL * top)
 
 
 def _check_frame(w, model: PoFModel) -> np.ndarray:

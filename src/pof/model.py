@@ -29,6 +29,7 @@ __all__ = [
     "PoFModel",
     "FramePosterior",
     "Spectrogram",
+    "check_spectrum",
     "BandMask",
     "sample",
     "expected_log_spectrum",
@@ -173,11 +174,7 @@ class Spectrogram:
     hop: int
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=float)
-        if data.ndim != 2 or data.size == 0:
-            raise ValidationError("spectrogram data must be 2-D (bins x frames) and non-empty")
-        if not np.all(np.isfinite(data)) or np.any(data < 0):
-            raise ValidationError("spectrogram entries must be finite and non-negative")
+        data = check_spectrum(self.data)
         if self.kind not in _KIND_TO_CODE:
             raise ValidationError(f"kind must be one of {sorted(_KIND_TO_CODE)}")
         if not 0 < self.sample_rate < np.inf:
@@ -195,12 +192,23 @@ class Spectrogram:
         return self.data.shape[1]
 
 
+def check_spectrum(W) -> np.ndarray:
+    """The data of W, a Spectrogram or an array, as floats; ValidationError
+    unless it is 2-D, non-empty, finite and non-negative."""
+    data = np.asarray(W.data if isinstance(W, Spectrogram) else W, dtype=float)
+    if data.ndim != 2 or data.size == 0:
+        raise ValidationError("spectrogram data must be 2-D (bins x frames) and non-empty")
+    if not np.all(np.isfinite(data)) or np.any(data < 0):
+        raise ValidationError("spectrogram entries must be finite and non-negative")
+    return data
+
+
 def sample(model: PoFModel, T: int, seed: int) -> tuple[Spectrogram, np.ndarray]:
     """Draw T synthetic frames from the generative model.
 
     Returns the magnitude spectrogram and the true L x T activations.
-    Deterministic for a given seed regardless of thread count (sampling is
-    a single seeded vectorized stream).
+    Deterministic for a given seed (sampling is a single seeded vectorized
+    stream).
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
@@ -355,4 +363,7 @@ def load_spectrogram(path) -> Spectrogram:
         )
     flat = np.frombuffer(blob, dtype="<f8", count=F * T, offset=head_len)
     data = flat.reshape((F, T), order="F")
-    return Spectrogram(data, _CODE_TO_KIND[kind_code], sample_rate, n_fft, hop)
+    spec = Spectrogram(data, _CODE_TO_KIND[kind_code], sample_rate, n_fft, hop)
+    if len(blob) > expected:
+        raise DataFormatError(f"POFS file has {len(blob) - expected} bytes after its payload")
+    return spec

@@ -27,6 +27,9 @@ time:
 Block order is U, alpha, gamma; each block only ever improves Q (all three
 are solved to round-off), so the whole M-step is monotone and fit()'s ELBO
 trace is non-decreasing.
+
+Every function here that takes W floors it on entry (_observed); the W
+that fit passes on is floored already and comes through unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .estep import floor_observations, infer_frames
-from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram
+from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram, check_spectrum
 from .optim import chunks, minimize
 from .specfn import _digamma, _ln_gamma, _shape_eq
 
@@ -95,26 +98,23 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValidationError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValidationError("rel_tol must be positive and finite")
         if self.L < 1 or self.max_em_iters < 1:
             raise ValidationError("L and max_em_iters must be >= 1")
 
 
-def _as_data(W) -> np.ndarray:
-    data = np.asarray(getattr(W, "data", W), dtype=float)
-    if data.ndim != 2:
-        raise ValidationError("W must be 2-D (bins x frames)")
-    return data
-
-
-def _check_shapes(W: np.ndarray, model: PoFModel, stats: SufficientStats) -> None:
+def _observed(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
+    """W floored (floor_observations) and checked against the dimensions of
+    the model and the statistics."""
+    W = floor_observations(W)
     F, T = W.shape
     L = model.n_filters
     if F != model.n_bins:
         raise ValidationError(f"W has {F} bins, model expects {model.n_bins}")
     if stats.expect_a.shape != (L, T) or stats.expect_log_a.shape != (L, T):
         raise ValidationError("sufficient statistics do not match model/data dims")
+    return W
 
 
 def _alpha_c(stats: SufficientStats) -> np.ndarray:
@@ -152,10 +152,7 @@ def _shape_q(x: np.ndarray, c: np.ndarray, T: int) -> np.ndarray:
 
 def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
     """Q(U, alpha, gamma): the E-step bound minus the posterior entropy."""
-    W = _as_data(W)
-    _check_shapes(W, model, stats)
-    if np.any(W <= 0):
-        raise ValidationError("W entries must be positive (apply floor_observations)")
+    W = _observed(W, model, stats)
     c_gamma = _gamma_c(W, model.U, stats)
     if c_gamma is None:
         return -math.inf
@@ -227,8 +224,7 @@ def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray
     Row gradients are independent across f; perturbing any other row leaves
     this one unchanged.
     """
-    W = _as_data(W)
-    _check_shapes(W, model, stats)
+    W = _observed(W, model, stats)
     _, grad = _u_row_q(model.U[f], W[f], model.gamma[f], stats,
                        stats.expect_a.sum(axis=1))
     if grad is None:
@@ -265,16 +261,14 @@ def _update_shape(x0: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def grad_alpha(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     """dQ/d alpha_l = sum_t (log a_l + 1 - psi(a_l) + E[log a_lt] - E[a_lt])."""
-    W = _as_data(W)
-    _check_shapes(W, model, stats)
+    W = _observed(W, model, stats)
     alpha = model.alpha
     return W.shape[1] * (np.log(alpha) - _digamma(alpha) - _alpha_c(stats))
 
 
 def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
     """dQ/d gamma_f, summed over frames."""
-    W = _as_data(W)
-    _check_shapes(W, model, stats)
+    W = _observed(W, model, stats)
     c = _gamma_c(W, model.U, stats)
     if c is None:
         raise NumericalError("gradient requested at an infeasible point")
@@ -296,10 +290,7 @@ def mstep(
     its 1-D stationarity equation (_solve_shape). Rows in frozen_rows keep
     their U and gamma values (used for all-silent frequency bins).
     """
-    W = _as_data(W)
-    _check_shapes(W, model, stats)
-    if np.any(W <= 0):
-        raise ValidationError("W entries must be positive (apply floor_observations)")
+    W = _observed(W, model, stats)
 
     sum_ea = stats.expect_a.sum(axis=1)
     lower = -stats.rho.min(axis=1)
@@ -341,7 +332,7 @@ def fit(
     bound, its growth, the E-step seconds (secs=) and the seconds of the
     M-step that produced this iteration's model (mstep_secs=, 0 at first).
     """
-    raw = _as_data(W)
+    raw = check_spectrum(W)
     if raw.shape[1] < 2:
         raise ValidationError("need at least 2 frames to fit")
     if raw.max() == raw.min():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import BandMask, Spectrogram, _read_json_doc, _write_json_doc
+from .model import BandMask, Spectrogram, _read_json_doc, _write_json_doc, check_spectrum
 
 __all__ = [
     "NmfModel",
@@ -70,15 +70,6 @@ class NmfFit:
     cost_trace: list[float]
 
 
-def _as_data(W) -> np.ndarray:
-    data = np.asarray(getattr(W, "data", W), dtype=float)
-    if data.ndim != 2:
-        raise ValidationError("W must be 2-D (bins x frames)")
-    if not np.all(np.isfinite(data)) or np.any(data < 0):
-        raise ValidationError("W must be finite and non-negative")
-    return data
-
-
 def _kl_cost(W: np.ndarray, R: np.ndarray) -> float:
     R = np.maximum(R, EPS)
     wlog = np.where(W > 0, W * np.log(np.maximum(W, EPS) / R), 0.0)
@@ -115,6 +106,8 @@ def _update_is(W, V, H, update_v: bool):
 
 
 def _run_updates(W, V, H, divergence, rel_tol, max_iters, update_v):
+    if not 0 < rel_tol < np.inf:
+        raise ValidationError("rel_tol must be positive and finite")
     update = _update_kl if divergence == "kl" else _update_is
     trace = [_cost(W, V, H, divergence)]
     for _ in range(max_iters):
@@ -140,7 +133,7 @@ def nmf_fit(
     """Factor W into a dictionary V and activations H by multiplicative updates."""
     if divergence not in DIVERGENCES:
         raise ValidationError(f"divergence must be one of {DIVERGENCES}")
-    data = _as_data(W)
+    data = check_spectrum(W)
     if data.max() <= 0:
         raise ValidationError("cannot factor an all-zero spectrogram")
     F, T = data.shape
@@ -175,7 +168,7 @@ def nmf_encode(
     V_bl = mask.select(model.V, model.n_bins)
     if np.any(V_bl.sum(axis=0) == 0):
         raise ValidationError("masked dictionary has an all-zero column")
-    data = mask.select(_as_data(W_bl), model.n_bins)
+    data = mask.select(check_spectrum(W_bl), model.n_bins)
     T = data.shape[1]
     rng = np.random.default_rng([int(seed), _STREAM_NMF, 1])
     H = np.array(H0, dtype=float) if H0 is not None else rng.uniform(0.1, 1.1, (model.K, T))

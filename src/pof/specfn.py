@@ -2,10 +2,12 @@
 
 Dependency-free numpy implementations of log-gamma, digamma, trigamma and
 tetragamma (one shared upward recurrence into the asymptotic range, then
-Bernoulli-series tails),
-plus the gamma-distribution expectations every bound and gradient in the
-model needs: E[a], E[log a], differential entropy, and the log of
-E[exp(-u a)], which is finite only for u > -rate and +inf otherwise.
+Bernoulli-series tails), plus the gamma-distribution expectations E[a],
+E[log a], differential entropy, and the log of E[exp(-u a)], which is
+finite only for u > -rate and +inf otherwise. The package's bounds and
+gradients call _gamma_fns directly; the expectation kernels build the
+naive, term-by-term reference bound (tests/conftest.py) that those are
+tested against.
 
 All kernels broadcast over array-valued parameters; scalar inputs give
 scalar outputs.
@@ -221,9 +223,8 @@ def log_gamma_mgf(u, q: GammaParams):
     """log E[exp(-u a)] under a ~ Gamma(shape, rate).
 
     Equals -shape * log1p(u / rate) when u > -rate. For u <= -rate the
-    expectation diverges and the result is +inf; callers treat that
-    sentinel as an infinite barrier, so line searches back off infeasible
-    steps without special-casing.
+    expectation diverges and the result is +inf, so a bound summed from
+    these terms is -inf exactly where the model's bound is.
     """
     ua = np.asarray(u, dtype=float)
     nu = np.asarray(q.shape, dtype=float)

@@ -173,6 +173,13 @@ def test_missing_input_is_exit_2(tmp_path, argv):
     assert main([a.format(**paths) for a in argv]) == 2
 
 
+@pytest.mark.parametrize("command, rel_tol", [("train", "nan"), ("nmf-train", "-1")])
+def test_bad_rel_tol_is_exit_2(rng, tmp_path, capsys, command, rel_tol):
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    assert main([command, spec, "--rel-tol", rel_tol, "-o", str(tmp_path / "m.json")]) == 2
+    assert "rel_tol must be positive and finite" in capsys.readouterr().err
+
+
 def test_usage_error_is_exit_1():
     assert main(["train"]) == 1
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pof import (DataFormatError, FramePosterior, ModelMeta, PoFModel, Spectrogram,
-                 ValidationError, expected_log_spectrum, load_model,
-                 load_spectrogram, sample, save_model, save_spectrogram)
-from conftest import random_model
+from pof import (BandMask, DataFormatError, EmConfig, FramePosterior, ModelMeta, NmfModel,
+                 PoFModel, Spectrogram, SufficientStats, ValidationError,
+                 expected_log_spectrum, fit, floor_observations, grad_alpha, grad_gamma,
+                 grad_u_row, infer_frames, load_model, load_spectrogram, mstep,
+                 nmf_encode, nmf_fit, q_objective, sample, save_model, save_spectrogram)
+from conftest import random_feasible_posterior, random_model
 
 # Round-trip fuzz: every example rewrites one file under tmp_path.
 fuzz = settings(max_examples=20, deadline=None,
@@ -70,6 +72,45 @@ class TestTypes:
             Spectrogram(np.ones((3, 2)), "magnitude", 16000, 1024, 2048)
         with pytest.raises(ValidationError):
             Spectrogram(np.ones((3, 0)), "magnitude", 16000, 1024, 512)
+
+
+# Every entry point that takes an observed spectrogram reads it through
+# model.check_spectrum, alone (NMF) or inside floor_observations (PoF).
+ENTRY_POINTS = ["floor_observations", "fit", "infer_frames", "mstep", "q_objective",
+                "grad_u_row", "grad_alpha", "grad_gamma", "nmf_fit", "nmf_encode"]
+
+
+def malformed_spectrum(rng, case):
+    W = rng.lognormal(size=(6, 5))
+    if case == "1-D":
+        return W[:, 0]
+    if case == "3-D":
+        return W[:, :, None]
+    W[2, 3] = {"negative": -3.0, "neg_inf": -np.inf, "nan": np.nan}[case]
+    return W
+
+
+@pytest.mark.parametrize("case", ["negative", "neg_inf", "nan", "1-D", "3-D"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_reject_malformed_spectra(rng, entry, case):
+    model = random_model(rng, 6, 2)
+    stats = SufficientStats.from_posteriors(
+        [random_feasible_posterior(rng, model) for _ in range(5)])
+    nmf = NmfModel(rng.uniform(0.1, 1.0, size=(6, 2)), "kl")
+    call = {
+        "floor_observations": floor_observations,
+        "fit": lambda W: fit(W, EmConfig(L=2, max_em_iters=2)),
+        "infer_frames": lambda W: infer_frames(W, model),
+        "mstep": lambda W: mstep(W, model, stats),
+        "q_objective": lambda W: q_objective(W, model, stats),
+        "grad_u_row": lambda W: grad_u_row(0, W, model, stats),
+        "grad_alpha": lambda W: grad_alpha(W, model, stats),
+        "grad_gamma": lambda W: grad_gamma(W, model, stats),
+        "nmf_fit": lambda W: nmf_fit(W, 2, max_iters=2),
+        "nmf_encode": lambda W: nmf_encode(W, nmf, BandMask(np.arange(6)), max_iters=2),
+    }[entry]
+    with pytest.raises(ValidationError):
+        call(malformed_spectrum(rng, case))
 
 
 class TestSample:
@@ -217,6 +258,14 @@ class TestSpectrogramSerialization:
         blob = path.read_bytes()
         path.write_bytes(blob[:-9])
         with pytest.raises(DataFormatError, match="truncated"):
+            load_spectrogram(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        # a header that understates F * T would otherwise load a cropped spectrogram
+        path = tmp_path / "s.pofs"
+        save_spectrogram(Spectrogram(np.ones((2, 2)), "magnitude", 16000, 1024, 512), path)
+        path.write_bytes(path.read_bytes() + bytes(7))
+        with pytest.raises(DataFormatError, match="7 bytes after its payload"):
             load_spectrogram(path)
 
     def test_negative_entry_rejected(self, rng, tmp_path):

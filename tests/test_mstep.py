@@ -153,6 +153,14 @@ class TestMstep:
             new = mstep(W, model, stats)
             assert q_objective(W, new, stats) >= q0 - 1e-12
 
+    def test_zero_entry_is_floored(self, rng):
+        # mstep floors W on entry, as fit does
+        W, model, stats = random_problem(rng)
+        W[1, 2] = 0.0
+        raw, floored = mstep(W, model, stats), mstep(floor_observations(W), model, stats)
+        for name in ("U", "alpha", "gamma"):
+            assert np.array_equal(getattr(raw, name), getattr(floored, name))
+
     def test_stationary_instance_nearly_unchanged(self):
         # At the trivial exact-posterior point all three gradients vanish
         # except gamma's (euler_gamma > 0), so run a two-frame version whose
@@ -280,17 +288,17 @@ class TestURowNewton:
         assert np.all(np.abs(chunked - stacked) <= 1e-10 * scale)
 
     def test_singular_hessian_row_kept(self, rng):
-        # row 2's reconstruction underflows to 0 in every frame: w = 1e-300
-        # times exp(S) <= (1 + 1e6 / 4)^-6 < 1e-32, so its Hessian is exactly 0
+        # row 2's reconstruction underflows to 0 in every frame: exp(S) <=
+        # (1 + 1e60 / 4)^-6 < 1e-350, so its Hessian is exactly 0 (W is
+        # floored on entry, so a tiny row of W cannot do this)
         F, L, T = 5, 3, 4
         model = random_model(rng, F, L, u_scale=0.1)
         U = model.U.copy()
-        U[2] = 1e6
+        U[2] = 1e60
         model = PoFModel(U, model.alpha, model.gamma)
         posts = [FramePosterior(np.full(L, 2.0), np.full(L, 1.0 + t)) for t in range(T)]
         stats = SufficientStats.from_posteriors(posts)
         W = rng.lognormal(sigma=0.7, size=(F, T))
-        W[2] = 1e-300
         _, _, hess = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
         assert np.all(hess[2] == 0.0)
         new = mstep(W, model, stats)
