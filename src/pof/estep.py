@@ -17,12 +17,17 @@ nu = 1e18 the bound of a frame would be off by thousands of nats.
 Frames are independent. infer_frames solves the frames of a chunk together
 with the batched damped Newton of pof.optim.minimize, in the plain
 (nu, rho) coordinates, over the box nu > 0, rho > rho_min with
-rho_min = max(0, -min_f U_fl). The bound is not concave, so the solver's
-modified Newton step is what makes every step a descent step. Each frame is
-solved to round-off and keeps the status its solve ended with; a frame
-that reports "zero_progress" still holds its start, not an inferred
-posterior. Every reduction over a frame's terms stays within that frame,
-so a frame's result does not depend on the frames that share its chunk.
+rho_min = max(0, -min_f U_fl). The bound is not concave, but the Hessian H
+of -L is a positive-semidefinite Gram term plus one 2x2 block B_l per
+filter on (nu_l, rho_l), and only the blocks can be indefinite. Where H has
+no Cholesky factor the solver steps on C = Gram term + the blocks |B_l|
+instead, each block's eigenvalues made absolute in closed form (the |H| of
+saddle-free Newton, Dauphin et al. 2014, where the indefiniteness lives).
+Each frame is solved to round-off and keeps the status its solve ended
+with; a frame that reports "zero_progress" still holds its start, not an
+inferred posterior. Every reduction over a frame's terms stays within that
+frame, so a frame's result does not depend on the frames that share its
+chunk.
 The default start lies at least rho_min inside the barrier
 (default_posterior_init).
 """
@@ -111,21 +116,16 @@ class _Frames:
         rho_min = np.maximum(0.0, -model.U.min(axis=0))
         self.lower = np.concatenate((np.zeros_like(rho_min), rho_min))
 
-    def bound(self, x: np.ndarray, derivs: bool = False):
-        """L at each row (nu, rho) of x (n, 2L), and with derivs its
-        gradient (n, 2L) and Hessian (n, 2L, 2L).
-
-        A row outside the box nu > 0, rho > rho_min, or whose bound (or,
-        with derivs, whose gradient or Hessian) is not finite, has bound
-        -inf and NaN derivatives.
+    def bound(self, x: np.ndarray, derivs: int = 0):
+        """L at each row (nu, rho) of x (n, 2L) and, with derivs=1, its
+        gradient (n, 2L); with derivs=2 also H and C (n, 2L, 2L), the Hessian
+        of -L and its stand-in (see the module docstring). What derivs does
+        not ask for is None. A row outside the box nu > 0, rho > rho_min,
+        or whose bound, gradient or H is not finite, has bound -inf and NaN
+        derivatives.
         """
         n, L = x.shape[0], self.U.shape[1]
-        value = np.full(n, -math.inf)
-        grad = np.full((n, 2 * L), math.nan)
-        hess = np.full((n, 2 * L, 2 * L), math.nan)
         ok = np.flatnonzero(np.all(x > self.lower, axis=1))
-        if ok.size == 0:
-            return value, grad, hess
         U, alpha, gu = self.U, self.alpha, self.gu
         nu, rho = x[ok, :L], x[ok, L:]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -137,52 +137,82 @@ class _Frames:
             _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
             v = (self.const[ok] - (gu * ea).sum(axis=1) - c.sum(axis=1)
                  + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
-            if not derivs:
-                good = np.isfinite(v)
-                value[ok[good]] = v[good]
-                return value, grad, hess
-            # jac = dS / d(nu, rho): -log1p(U / rho) and nu B / rho with
-            # B = U / (rho + U)
-            B = ratio / (1.0 + ratio)
-            jac = np.concatenate((-log1p_r, ea[:, None, :] * B), axis=2)
-            cj = c[:, :, None] * jac
-            g = -cj.sum(axis=1)
-            h = -(cj.transpose(0, 2, 1) @ jac)
-            # minus sum_f c_f times the second derivatives of S_f:
-            # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2
-            d_nu_rho = g[:, L:] / nu
-            d_rho_rho = (cj[:, :, L:] * (2.0 - B)).sum(axis=1) / rho
-            k = (gu + alpha) / (rho * rho)
-            g[:, :L] += alpha * psi1 + ent1 - (gu + alpha) / rho
-            g[:, L:] += k * nu - alpha / rho
-            i, j = np.arange(L), np.arange(L, 2 * L)
-            h[:, i, i] += alpha * psi2 + ent2
-            h[:, i, j] += d_nu_rho + k
-            h[:, j, i] += d_nu_rho + k
-            h[:, j, j] += d_rho_rho + alpha / (rho * rho) - 2.0 * k * ea
-        good = np.isfinite(v) & np.all(np.isfinite(g), axis=1) & np.all(
-            np.isfinite(h), axis=(1, 2))
-        value[ok[good]], grad[ok[good]], hess[ok[good]] = v[good], g[good], h[good]
-        return value, grad, hess
+            good = np.isfinite(v)
+            if derivs:
+                # jac = dS / d(nu, rho): -log1p(U / rho) and nu B / rho with
+                # B = U / (rho + U)
+                B = ratio / (1.0 + ratio)
+                jac = np.concatenate((-log1p_r, ea[:, None, :] * B), axis=2)
+                cj = c[:, :, None] * jac
+                g = -cj.sum(axis=1)
+                # minus sum_f c_f times the second derivatives of S_f:
+                # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2
+                d_nu_rho = g[:, L:] / nu
+                k = (gu + alpha) / (rho * rho)
+                g[:, :L] += alpha * psi1 + ent1 - (gu + alpha) / rho
+                g[:, L:] += k * nu - alpha / rho
+                good &= np.all(np.isfinite(g), axis=1)
+            if derivs == 2:
+                d_rho_rho = (cj[:, :, L:] * (2.0 - B)).sum(axis=1) / rho
+                # the blocks B_l of -L: [[b_nn, b_nr], [b_nr, b_rr]]
+                blocks = (-(alpha * psi2 + ent2), -(d_nu_rho + k),
+                          -(d_rho_rho + alpha / (rho * rho) - 2.0 * k * ea))
+                gram = cj.transpose(0, 2, 1) @ jac
+                # the (m, F, L) terms go before the Hessian stacks are copied
+                del ratio, log1p_r, B, jac, cj
+                h = gram.copy()
+                i, j = np.arange(L), np.arange(L, 2 * L)
+                for m, (b_nn, b_nr, b_rr) in ((h, blocks), (gram, _abs_2x2(*blocks))):
+                    m[:, i, i] += b_nn
+                    m[:, i, j] += b_nr
+                    m[:, j, i] += b_nr
+                    m[:, j, j] += b_rr
+                good &= np.all(np.isfinite(h), axis=(1, 2))
+
+        def rows(a, fill=math.nan):
+            if good.all() and ok.size == n:
+                return a
+            out = np.full((n,) + a.shape[1:], fill)
+            out[ok[good]] = a[good]
+            return out
+
+        return (rows(v, -math.inf), rows(g) if derivs else None,
+                rows(h) if derivs == 2 else None, rows(gram) if derivs == 2 else None)
 
     def objective(self, x: np.ndarray):
-        """-L, its gradient and its Hessian: the function minimize solves."""
-        value, grad, hess = self.bound(x, derivs=True)
-        return -value, -grad, -hess
+        """-L, its gradient, H and C: the function minimize solves."""
+        value, grad, hess, curv = self.bound(x, derivs=2)
+        return -value, -grad, hess, curv
+
+
+def _abs_2x2(a, b, c):
+    """|B| = (B B)^(1/2) of the 2x2 blocks B = [[a, b], [b, c]], entrywise
+    over a, b, c: B or -B where B is semidefinite, else (B B - det(B) I) / s,
+    s = hypot(a - c, 2 b), formed from ratios of size at most 1."""
+    semi = np.abs(b) <= np.sqrt(np.abs(a)) * np.sqrt(np.abs(c))
+    psd = semi & (a >= 0.0) & (c >= 0.0)
+    if psd.all():
+        return a, b, c
+    nsd = semi & (a <= 0.0) & (c <= 0.0)
+    s = np.hypot(a - c, 2.0 * b)
+    p, q = (a - c) / s, b / s
+    indefinite = (a * p + 2.0 * b * q, b * ((a + c) / s), 2.0 * b * q - c * p)
+    return tuple(np.where(psd, e, np.where(nsd, -e, f))
+                 for e, f in zip((a, b, c), indefinite))
 
 
 def elbo(w, model: PoFModel, post: FramePosterior) -> float:
     """Variational lower bound for one frame; -inf iff some U_fl <= -rho_l."""
     w = _check_frame(w, model)
-    value, _, _ = _Frames(w[None], model).bound(np.concatenate((post.nu, post.rho))[None])
+    value, _, _, _ = _Frames(w[None], model).bound(np.concatenate((post.nu, post.rho))[None])
     return float(value[0])
 
 
 def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (d/d nu, d/d rho) of the bound at a feasible point."""
     w = _check_frame(w, model)
-    value, grad, _ = _Frames(w[None], model).bound(
-        np.concatenate((post.nu, post.rho))[None], derivs=True)
+    value, grad, _, _ = _Frames(w[None], model).bound(
+        np.concatenate((post.nu, post.rho))[None], derivs=1)
     if not math.isfinite(value[0]):
         raise NumericalError("gradient requested at an infeasible point")
     L = model.n_filters
@@ -217,8 +247,9 @@ def _solve(data: np.ndarray, model: PoFModel,
     x0 = np.array([np.concatenate((p.nu, p.rho)) for p in starts])
     results = []
     # a solve holds about seven float blocks of (F + 4 L) L per frame: the
-    # bound's (F, L) terms and the (2L, 2L) Hessians (measured at F=48 and
-    # F=129, L=20)
+    # bound's (F, L) terms and the (2L, 2L) stacks of H and C, which the
+    # bound builds after it has dropped those terms (measured at F=129,
+    # L=20)
     for idx in chunks(np.arange(data.shape[1]), 7 * 8 * L * (F + 4 * L)):
         frames = _Frames(np.ascontiguousarray(data[:, idx].T), model)
         res = minimize(frames.objective, x0[idx], frames.lower)

@@ -38,6 +38,7 @@ import logging
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .estep import floor_observations, infer_frames
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram, check_spectrum
-from .optim import chunks, minimize
+from .optim import FAILED_START, ZERO_PROGRESS, chunks, minimize
 from .specfn import _digamma, _ln_gamma, _shape_eq
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
@@ -173,7 +174,9 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
     for a row that is infeasible for the stored posteriors (a row holding a
     NaN counts as infeasible and costs nothing) or whose reconstruction
     overflows. With derivs, also returns the gradient (n, L) and the Hessian
-    (n, L, L); both are NaN for a row that is infeasible.
+    (n, L, L), both NaN for a row that is infeasible, and the Hessian again:
+    it is positive semidefinite, so it is its own convex stand-in C for
+    minimize.
     """
     n, L = u.shape
     phi = np.full(n, math.inf)
@@ -203,7 +206,7 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
                 h[:, np.arange(L), np.arange(L)] += diag
                 hess[ok] = h
     phi[~np.isfinite(phi)] = math.inf
-    return (phi, grad, hess) if derivs else phi
+    return (phi, grad, hess, hess) if derivs else phi
 
 
 def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
@@ -212,7 +215,7 @@ def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
     Returns (-inf, None) when u is infeasible for the stored posteriors or
     the reconstruction overflows.
     """
-    phi, grad, _ = _u_rows_phi(u[None], w_f[None], stats, sum_ea, derivs=True)
+    phi, grad, _, _ = _u_rows_phi(u[None], w_f[None], stats, sum_ea, derivs=True)
     if not math.isfinite(phi[0]):
         return -math.inf, None
     return -gamma_f * float(phi[0]), -gamma_f * grad[0]
@@ -329,8 +332,10 @@ def fit(
     Each iteration runs the E-step (infer_frames, warm-started from the
     previous posteriors), then one mstep.
     log_sink, when given, receives one formatted line per EM iteration: the
-    bound, its growth, the E-step seconds (secs=) and the seconds of the
-    M-step that produced this iteration's model (mstep_secs=, 0 at first).
+    bound, its growth, the E-step seconds (secs=), the seconds of the
+    M-step that produced this iteration's model (mstep_secs=, 0 at first),
+    and how many of the E-step's frames ended with each status (converged=,
+    max_iters=, line_search_failed=, zero_progress=, failed_start=).
     """
     raw = check_spectrum(W)
     if raw.shape[1] < 2:
@@ -367,9 +372,13 @@ def fit(
         trace.append(total)
         delta = total - prev if prev is not None else math.nan
         if log_sink is not None:
+            counts = Counter(r.status for r in results)
+            statuses = " ".join(f"{s}={counts[s]}" for s in (
+                "converged", "max_iters", "line_search_failed", ZERO_PROGRESS))
             log_sink(
                 f"iter={it} elbo={total:.10e} delta={delta:.6e} "
-                f"secs={time.perf_counter() - t0:.3f} mstep_secs={mstep_secs:.3f}"
+                f"secs={time.perf_counter() - t0:.3f} mstep_secs={mstep_secs:.3f} "
+                f"{statuses} failed_start={counts[FAILED_START]}"
             )
         if prev is not None and total - prev <= cfg.rel_tol * abs(prev):
             break

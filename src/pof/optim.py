@@ -6,18 +6,21 @@ EM steps use it: the E-step for the frames of a chunk in (nu, rho), the
 M-step for rows of U.
 
 phi(X) takes an (n, d) stack and returns each row's value (n,), gradient
-(n, d) and Hessian (n, d, d). A row that is infeasible, or whose value or
-derivatives are not finite, has value +inf. Rows that are not being
-evaluated are passed as NaN and must come back as +inf.
+(n, d), Hessian H (n, d, d) and a positive-semidefinite stand-in C for H
+(n, d, d). A row that is infeasible, or whose value or derivatives are not
+finite, has value +inf. Rows that are not being evaluated are passed as
+NaN and must come back as +inf. A phi whose H is positive semidefinite
+everywhere returns H itself as C.
 
-Direction. Each row gets a modified Newton step (Nocedal & Wright,
-Numerical Optimization, 3.4): its Hessian is Jacobi-scaled,
-D = 1/sqrt(|diag H|). Where D H D has a Cholesky factor the step is the
-Newton step. Otherwise the eigenvalues of D H D are replaced by
-max(|lambda|, 1e-8 max|lambda|), which still gives a descent direction.
-The whole stack is factored at once and, only if that fails, each row
-alone; so which rule a row gets, and every reduction, depends on that row
-only, and a row's result does not depend on the rows that share its stack.
+Direction. Each row's Hessian is Jacobi-scaled, D = 1/sqrt(|diag H|).
+Where D H D has a Cholesky factor the step is the Newton step on H.
+Otherwise it is the Newton step on C, scaled by its own diagonal, which is
+a descent direction wherever C is positive definite; where C has no
+Cholesky factor either, the step is not finite. A row whose C equals its H
+takes the C branch directly, as both give the same step. A stack is
+factored at once and, only if that fails, each matrix alone; so which rule
+a row gets, and every reduction, depends on that row only, and a row's
+result does not depend on the rows that share its stack.
 
 Step. A row's first trial is the full step, or _BARRIER_FRACTION of the
 way to the box when the full step would leave it; it halves until the
@@ -50,7 +53,7 @@ ZERO_PROGRESS = "zero_progress"
 FAILED_START = "failed: starting point is infeasible (objective not finite)"
 
 # Newton iterations per row. At F=129, L=20 an E-step frame from the
-# default start takes about 25 and a first M-step row about 11; the cap only
+# default start takes about 18 and a first M-step row about 11; the cap only
 # bounds a row that keeps accepting steps without reaching round-off.
 _MAX_ITERS = 200
 _MAX_HALVINGS = 60
@@ -58,9 +61,6 @@ _ARMIJO_C1 = 1e-4
 # A step that would leave the box starts its backtrack this fraction of the
 # way to it.
 _BARRIER_FRACTION = 0.99
-# Eigenvalues of the scaled Hessian are kept at least this fraction of the
-# largest one.
-_EIG_FLOOR = 1e-8
 _EPS = np.finfo(float).eps
 # Rows per stack are chosen so that the temporaries of one solve stay within
 # this many bytes (at least one row per stack).
@@ -88,41 +88,45 @@ def chunks(items: np.ndarray, item_bytes: int) -> list[np.ndarray]:
     return [items[i:i + n] for i in range(0, items.size, n)]
 
 
-def _directions(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """The modified Newton step of each row; not finite for a row whose
-    Hessian is zero or not finite."""
-    diag = np.abs(np.diagonal(hess, axis1=1, axis2=2))
+def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D m D and D = 1/sqrt(|diag m|) (1 where the diagonal is 0) for each
+    matrix of the stack m; a matrix that is not finite becomes 0."""
+    diag = np.abs(np.diagonal(m, axis1=1, axis2=2))
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    h = hess * scale[:, :, None] * scale[:, None, :]
-    h[~np.all(np.isfinite(h), axis=(1, 2))] = 0.0
-    sg = scale * grad
-    pd = _positive_definite(h)
-    step = np.empty_like(sg)
-    if pd.any():
-        step[pd] = np.linalg.solve(h[pd], sg[pd, :, None])[:, :, 0]
-    if not pd.all():
-        lam, vec = np.linalg.eigh(h[~pd])
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = (vec * sg[~pd, :, None]).sum(axis=1) / lam
-            step[~pd] = (vec * coef[:, None, :]).sum(axis=2)
-    return -scale * step
+    m = m * scale[:, :, None] * scale[:, None, :]
+    m[~np.all(np.isfinite(m), axis=(1, 2))] = 0.0
+    return m, scale
 
 
-def _positive_definite(h: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack h have a Cholesky factor. The whole stack
+def _factors(m: np.ndarray) -> np.ndarray:
+    """Which matrices of the stack m have a Cholesky factor. The whole stack
     is tried at once; only if that fails is each matrix tried alone."""
-    def factors(m):
+    def factors(a):
         try:
-            np.linalg.cholesky(m)
+            np.linalg.cholesky(a)
         except np.linalg.LinAlgError:
             return False
         return True
 
-    if factors(h):
-        return np.ones(h.shape[0], dtype=bool)
-    return np.array([factors(m) for m in h])
+    if m.shape[0] == 0 or factors(m):
+        return np.ones(m.shape[0], dtype=bool)
+    return np.array([factors(a) for a in m], dtype=bool)
+
+
+def _directions(hess: np.ndarray, curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The Newton step of each row on its H where the scaled H has a
+    Cholesky factor, else on its C; not finite where neither has one."""
+    # a row whose C is its H goes straight to the C test: both rules agree
+    exact = ~np.all(hess == curv, axis=(1, 2))
+    m, scale = _jacobi(hess)
+    ok = np.zeros(exact.shape, dtype=bool)
+    ok[exact] = _factors(m[exact])
+    fall_back = exact & ~ok
+    m[fall_back], scale[fall_back] = _jacobi(curv[fall_back])
+    ok[~ok] = _factors(m[~ok])
+    step = np.full_like(grad, math.nan)
+    step[ok] = np.linalg.solve(m[ok], (scale * grad)[ok, :, None])[:, :, 0]
+    return -scale * step
 
 
 def minimize(phi, X0, lower) -> OptimResult:
@@ -131,7 +135,7 @@ def minimize(phi, X0, lower) -> OptimResult:
     time the solves by wrapping this function as pof.estep.minimize and
     pof.mstep.minimize."""
     x = np.array(X0, dtype=float)
-    f, grad, hess = phi(x)
+    f, grad, hess, curv = phi(x)
     status = np.full(x.shape[0], "converged", dtype=object)
     active = np.isfinite(f)
     status[~active] = FAILED_START
@@ -139,7 +143,7 @@ def minimize(phi, X0, lower) -> OptimResult:
     iters = 0
     while active.any():
         rows = np.flatnonzero(active)
-        step = _directions(hess[rows], grad[rows])
+        step = _directions(hess[rows], curv[rows], grad[rows])
         slope = (grad[rows] * step).sum(axis=1)
         # a Newton decrement below the rounding of f: converged
         done = np.abs(slope) <= _EPS * np.abs(f[rows])
@@ -170,11 +174,11 @@ def minimize(phi, X0, lower) -> OptimResult:
             r = rows[s]
             trial = np.full_like(x, math.nan)
             trial[r] = x[r] + t[s, None] * step[s]
-            f_t, grad_t, hess_t = phi(trial)
+            f_t, grad_t, hess_t, curv_t = phi(trial)
             ok = (f_t[r] < f[r]) & (f_t[r] <= f[r] + _ARMIJO_C1 * t[s] * slope[s])
             acc = r[ok]
             x[acc], f[acc] = trial[acc], f_t[acc]
-            grad[acc], hess[acc] = grad_t[acc], hess_t[acc]
+            grad[acc], hess[acc], curv[acc] = grad_t[acc], hess_t[acc], curv_t[acc]
             moved[acc] = True
             searching[s[ok]] = False
             t[s[~ok]] *= 0.5

@@ -173,6 +173,24 @@ def test_missing_input_is_exit_2(tmp_path, argv):
     assert main([a.format(**paths) for a in argv]) == 2
 
 
+def test_train_logs_frame_status_counts(rng, tmp_path, capsys):
+    # every EM iteration's stderr line counts the E-step's frames by status
+    T = 12
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, T)))
+    assert main(["train", spec, "-L", "2", "--max-iters", "3",
+                 "-o", str(tmp_path / "m.json")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("iter=")]
+    assert len(lines) >= 2
+    statuses = ("converged", "max_iters", "line_search_failed", "zero_progress",
+                "failed_start")
+    for line in lines:
+        fields = dict(item.split("=", 1) for item in line.split())
+        counts = {name: int(fields[name]) for name in statuses}
+        assert sum(counts.values()) == T
+        assert counts["converged"] == T
+
+
 @pytest.mark.parametrize("command, rel_tol", [("train", "nan"), ("nmf-train", "-1")])
 def test_bad_rel_tol_is_exit_2(rng, tmp_path, capsys, command, rel_tol):
     spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))

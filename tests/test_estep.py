@@ -13,8 +13,8 @@ import scipy.optimize
 
 from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
                  elbo, elbo_grad, sample)
-from pof.estep import (default_posterior_init, dump_posteriors, floor_observations,
-                       infer_frame, infer_frames)
+from pof.estep import (_Frames, _abs_2x2, default_posterior_init, dump_posteriors,
+                       floor_observations, infer_frame, infer_frames)
 from pof.optim import ZERO_PROGRESS
 from conftest import (central_diff, elbo_oracle, importance_log_marginal,
                       random_feasible_posterior, random_frame, random_model)
@@ -127,6 +127,128 @@ class TestElboGrad:
         post = FramePosterior(np.ones(1), np.full(1, 0.5))
         with pytest.raises(NumericalError):
             elbo_grad(np.ones(1), model, post)
+
+
+def gram_oracle(w, model, x):
+    """sum_f c_f j_f j_f' at x = (nu, rho), summed over bins in a loop: the
+    positive-semidefinite part of the Hessian of -L."""
+    L = model.n_filters
+    nu, rho = x[:L], x[L:]
+    gram = np.zeros((2 * L, 2 * L))
+    for f in range(model.n_bins):
+        u = model.U[f]
+        c = model.gamma[f] * w[f] * np.exp(-np.sum(nu * np.log1p(u / rho)))
+        j = np.concatenate((-np.log1p(u / rho), nu * u / (rho * (rho + u))))
+        gram += c * np.outer(j, j)
+    return gram
+
+
+def abs_oracle(block):
+    lam, vec = np.linalg.eigh(block)
+    return (vec * np.abs(lam)) @ vec.T
+
+
+def curvature_points(rng, model, w):
+    """Random feasible posteriors, default starts (both mostly with
+    indefinite blocks) and inferred posteriors (mostly without)."""
+    posts = [random_feasible_posterior(rng, model) for _ in range(4)]
+    posts += [default_posterior_init(model, 0, t) for t in range(4)]
+    posts += [r.posterior for r in infer_frames(np.tile(w[:, None], 4), model, seed=1)]
+    return np.array([np.concatenate((p.nu, p.rho)) for p in posts])
+
+
+class TestCurvature:
+    """H, the Hessian of -L that the E-step's Newton steps use, and C, the
+    stand-in built from the Gram term and the blocks |B_l|."""
+
+    def test_hessian_matches_central_differences(self, rng):
+        for _ in range(10):
+            model = random_model(rng, 6, 3)
+            post = random_feasible_posterior(rng, model)
+            w = random_frame(rng, model)
+            L = model.n_filters
+            x = np.concatenate([post.nu, post.rho])
+            _, _, hess, _ = _Frames(w[None], model).objective(x[None])
+
+            def minus_grad(z, i):
+                return -np.concatenate(elbo_grad(w, model, FramePosterior(z[:L], z[L:])))[i]
+
+            fd = np.array([central_diff(lambda z: minus_grad(z, i), x, eps=1e-6)
+                           for i in range(2 * L)])
+            assert np.allclose(hess[0], fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+
+    def test_stand_in_is_symmetric_psd(self, rng):
+        replaced = 0
+        for _ in range(10):
+            model = random_model(rng, 6, 3)
+            w = random_frame(rng, model)
+            x = curvature_points(rng, model, w)
+            _, _, hess, curv = _Frames(np.tile(w, (len(x), 1)), model).objective(x)
+            replaced += np.sum(np.any(curv != hess, axis=(1, 2)))
+            for c in curv:
+                scale = np.abs(c).max()
+                assert np.allclose(c, c.T, rtol=0.0, atol=1e-13 * scale)
+                assert np.linalg.eigvalsh(c).min() >= -1e-12 * scale
+        assert replaced > 0
+
+    def test_stand_in_replaces_exactly_the_indefinite_blocks(self, rng):
+        seen = {True: 0, False: 0}
+        for _ in range(10):
+            model = random_model(rng, 6, 3)
+            w = random_frame(rng, model)
+            L = model.n_filters
+            x = curvature_points(rng, model, w)
+            _, _, hess, curv = _Frames(np.tile(w, (len(x), 1)), model).objective(x)
+            for z, h, c in zip(x, hess, curv):
+                gram = gram_oracle(w, model, z)
+                expected = gram.copy()
+                psd = []
+                for l in range(L):
+                    idx = np.ix_([l, L + l], [l, L + l])
+                    block = h[idx] - gram[idx]
+                    lam = np.linalg.eigvalsh(block)
+                    tol = 1e-8 * np.abs(h[idx]).max()
+                    if np.abs(lam).min() <= tol:
+                        break  # too close to singular to classify
+                    psd.append(lam.min() > 0)
+                    expected[idx] += abs_oracle(block)
+                else:
+                    seen[all(psd)] += 1
+                    if all(psd):
+                        assert np.array_equal(c, h)
+                    else:
+                        assert not np.array_equal(c, h)
+                        assert np.allclose(c, expected, rtol=1e-9,
+                                           atol=1e-11 * np.abs(expected).max())
+                    # outside the blocks both are the Gram term, bitwise
+                    off = np.ones((2 * L, 2 * L), dtype=bool)
+                    off[np.arange(L), np.arange(L)] = False
+                    off[np.arange(L), np.arange(L, 2 * L)] = False
+                    off[np.arange(L, 2 * L), np.arange(L)] = False
+                    off[np.arange(L, 2 * L), np.arange(L, 2 * L)] = False
+                    assert np.array_equal(c[off], h[off])
+        assert seen[True] > 0 and seen[False] > 0
+
+    @pytest.mark.parametrize("a, b, c", [
+        (2.0, 1.0, 3.0),          # positive definite
+        (-2.0, 1.0, -3.0),        # negative definite
+        (1.0, 2.0, 1.0),          # indefinite
+        (1.0, 0.0, -4.0),         # indefinite, diagonal
+        (0.0, 1.0, 0.0),          # indefinite, zero diagonal
+        (-1.0, 0.0, 0.0),         # negative semidefinite
+        (0.0, 0.0, 0.0),
+        (1e200, 3e200, -2e200),   # indefinite near overflow
+        (1e-200, -3e-200, 2e-300),
+    ])
+    def test_abs_of_2x2_block(self, a, b, c):
+        got = np.array(_abs_2x2(*(np.full((1, 1), v) for v in (a, b, c))))[:, 0, 0]
+        block = np.array([[a, b], [b, c]])
+        scale = max(np.abs(block).max(), 1e-300)
+        expected = abs_oracle(block / scale) * scale
+        assert np.allclose(got, [expected[0, 0], expected[0, 1], expected[1, 1]],
+                           rtol=1e-12, atol=1e-14 * scale)
+        if np.linalg.eigvalsh(block / scale).min() >= 0.0:
+            assert np.array_equal(got, [a, b, c])
 
 
 class TestInferFrame:
@@ -265,6 +387,32 @@ class TestInferFrames:
             assert np.array_equal(a.posterior.rho, b.posterior.rho)
             assert a.elbo == b.elbo
             assert a.status == b.status == "converged"
+
+    def test_newton_iterations_per_frame(self, monkeypatch):
+        # a guard on the direction rule that needs no timing: at the
+        # benchmark's size, frames solved one by one from the default start
+        # take about 18 Newton iterations on average, and an |eigenvalue|-
+        # modified Newton step in place of the step on C takes about 26
+        rng = np.random.default_rng(0)
+        F, L = 129, 20
+        model = PoFModel(rng.normal(0.0, 0.3, size=(F, L)), rng.uniform(0.5, 3.0, size=L),
+                         rng.uniform(0.5, 5.0, size=F))
+        spec, _ = sample(model, 100, seed=0)
+        estep = importlib.import_module("pof.estep")
+        solve, iters = estep.minimize, []
+
+        def counted(*args):
+            res = solve(*args)
+            iters.append(res.iters)
+            return res
+
+        monkeypatch.setattr(estep, "minimize", counted)
+        monkeypatch.setattr(estep, "chunks",
+                            lambda items, _: [items[i:i + 1] for i in range(items.size)])
+        results = infer_frames(spec, model, seed=1)
+        assert len(iters) == 100
+        assert all(r.status == "converged" for r in results)
+        assert np.mean(iters) <= 20.0
 
     def test_bounds_at_least_scipy_optimum(self, rng):
         # scipy's L-BFGS-B from the same start, on the same bound, inside

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationError,
                  elbo, fit, grad_alpha, grad_gamma, grad_u_row, mstep, q_objective,
@@ -247,7 +249,7 @@ class TestURowNewton:
         for _ in range(10):
             W, model, stats = random_problem(rng)
             f = int(rng.integers(model.n_bins))
-            _, _, hess = _u_rows_phi(model.U[f:f + 1], W[f:f + 1], stats,
+            _, _, hess, _ = _u_rows_phi(model.U[f:f + 1], W[f:f + 1], stats,
                                      stats.expect_a.sum(axis=1), derivs=True)
             analytic = -model.gamma[f] * hess[0]       # Hessian of Q_f
 
@@ -260,6 +262,23 @@ class TestURowNewton:
                            for i in range(model.n_filters)])
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(analytic - fd) / denom) < 1e-5
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), L=st.integers(1, 4), T=st.integers(1, 5))
+    def test_hessian_is_psd(self, data, L, T):
+        # the row objective is convex, which is why its Hessian serves as
+        # its own stand-in C in minimize
+        def arrays(shape, lo, hi):
+            return data.draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
+
+        posts = [FramePosterior(arrays(L, 1e-3, 1e3), arrays(L, 1e-3, 1e3)) for _ in range(T)]
+        stats = SufficientStats.from_posteriors(posts)
+        W = arrays((3, T), 1e-6, 1e6)
+        U = -stats.rho.min(axis=1) + arrays((3, L), 1e-6, 1e3)
+        _, _, hess, curv = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
+        assert curv is hess
+        for h in hess[np.all(np.isfinite(hess), axis=(1, 2))]:
+            assert np.linalg.eigvalsh(h).min() >= -1e-12 * np.abs(h).max()
 
     def test_rows_at_least_as_good_as_lbfgs(self, rng):
         for _ in range(3):
@@ -299,7 +318,7 @@ class TestURowNewton:
         posts = [FramePosterior(np.full(L, 2.0), np.full(L, 1.0 + t)) for t in range(T)]
         stats = SufficientStats.from_posteriors(posts)
         W = rng.lognormal(sigma=0.7, size=(F, T))
-        _, _, hess = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
+        _, _, hess, _ = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
         assert np.all(hess[2] == 0.0)
         new = mstep(W, model, stats)
         assert np.array_equal(new.U[2], U[2])

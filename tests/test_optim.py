@@ -1,5 +1,6 @@
-"""Tests of the batched damped Newton solver: convergence, the Hessian
-modification, the box, and the meaning of every row status."""
+"""Tests of the batched damped Newton solver: convergence, the direction
+rule (H where it has a Cholesky factor, else the convex stand-in C), the
+box, and the meaning of every row status."""
 
 import importlib
 import math
@@ -13,19 +14,22 @@ from pof.optim import FAILED_START, ZERO_PROGRESS
 optim = importlib.import_module("pof.optim")
 
 
-def rowwise(fun):
-    """phi for minimize from fun(x) -> (f, g, H) of one row. NaN rows and
-    rows where fun gives a non-finite value come back as +inf."""
+def rowwise(fun, convex=None):
+    """phi for minimize from fun(x) -> (f, g, H) of one row, with C from
+    convex(x), or C = H when convex is None. NaN rows and rows where fun
+    gives a non-finite value come back as +inf."""
     def phi(X):
         n, d = X.shape
         f = np.full(n, math.inf)
         g = np.full((n, d), math.nan)
         h = np.full((n, d, d), math.nan)
+        c = h.copy()
         for i, x in enumerate(X):
             if np.all(np.isfinite(x)):
                 f[i], g[i], h[i] = fun(x)
+                c[i] = h[i] if convex is None else convex(x)
         f[~np.isfinite(f)] = math.inf
-        return f, g, h
+        return f, g, h, c
     return phi
 
 
@@ -41,12 +45,23 @@ def rosenbrock(x):
     return f, g, h
 
 
+def rosenbrock_gauss_newton(x):
+    # f = |r|^2 with r = (1 - a, 10 (b - a^2)): the curvature 2 J'J
+    jac = np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+    return 2.0 * jac.T @ jac
+
+
 def quartic(x):
     # saddle at 0, minima at +-(1/2, -1/2); indefinite Hessian near 0
     f = float(np.sum(x**4) + x[0] * x[1])
     g = np.array([4 * x[0] ** 3 + x[1], 4 * x[1] ** 3 + x[0]])
     h = np.array([[12 * x[0] ** 2, 1.0], [1.0, 12 * x[1] ** 2]])
     return f, g, h
+
+
+def quartic_convex(x):
+    # the convex quartic terms plus |[[0, 1], [1, 0]]| = I for the product
+    return np.diag(12 * x**2) + np.eye(2)
 
 
 def free(d):
@@ -64,21 +79,72 @@ class TestMinimize:
 
     def test_rosenbrock(self):
         X0 = np.array([[-1.2, 1.0], [0.0, 1.0]])
-        # the second start has an indefinite Hessian: only the modified step
-        # is a descent direction there
+        # the second start has an indefinite Hessian: only the step on the
+        # Gauss-Newton curvature is a descent direction there
         assert np.linalg.eigvalsh(rosenbrock(X0[1])[2]).min() < 0
-        res = minimize(rowwise(rosenbrock), X0, free(2))
+        res = minimize(rowwise(rosenbrock, rosenbrock_gauss_newton), X0, free(2))
         assert list(res.row_status) == ["converged", "converged"]
         assert np.allclose(res.x, 1.0, atol=1e-8)
         # independent optimality check: the gradient vanishes there
         for x in res.x:
             assert np.max(np.abs(rosenbrock(x)[1])) <= 1e-8
 
+    def test_step_is_newton_on_h_where_h_factors_else_on_c(self):
+        # row 0: H is positive definite and differs from C; row 1: H is
+        # indefinite; row 2: H is C
+        rng = np.random.default_rng(3)
+        grad = rng.normal(size=(3, 4))
+        a = rng.normal(size=(3, 4, 4))
+        curv = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        hess = curv.copy()
+        hess[0] += np.eye(4)
+        hess[1] -= 2.0 * np.diag(np.diagonal(curv[1]))
+        assert np.linalg.eigvalsh(hess[1]).min() < 0
+        step = optim._directions(hess, curv, grad)
+        for i, m in enumerate((hess[0], curv[1], curv[2])):
+            assert np.allclose(step[i], -np.linalg.solve(m, grad[i]), rtol=1e-12, atol=0.0)
+        # a descent direction on the row whose H has no factor
+        assert grad[1] @ step[1] < 0
+
+    def test_step_on_c_uses_scaled_c(self):
+        # H has no Cholesky factor, so the step is the Newton step on C
+        # Jacobi-scaled by its own diagonal, even for a badly scaled C
+        scales = np.array([1e-6, 1.0, 1e6])
+        curv = (np.eye(3) + 0.3) * scales[:, None] * scales[None, :]
+        hess = curv.copy()
+        hess[0, 0] = -hess[0, 0]
+        grad = np.array([1.0, -2.0, 3.0])
+        (step,) = optim._directions(hess[None], curv[None], grad[None])
+        d = 1.0 / np.sqrt(np.diagonal(curv))
+        expected = -d * np.linalg.solve(curv * d[:, None] * d[None, :], d * grad)
+        assert np.array_equal(step, expected)
+
+    def test_row_whose_c_has_no_factor_is_kept(self):
+        # row 0 lies on the saddle x0^2 - x1^2 (where x1 < 0.5) and is given
+        # a stand-in C that is indefinite too: it has no direction and keeps
+        # its start, while row 1, on a bowl, is solved
+        def fun(x):
+            if x[1] < 0.5:
+                return (float(x[0] ** 2 - x[1] ** 2), np.array([2.0 * x[0], -2.0 * x[1]]),
+                        np.diag([2.0, -2.0]))
+            return quadratic(x - np.array([0.0, 2.0]))
+
+        def convex(x):
+            return np.diag([2.0, -1.0]) if x[1] < 0.5 else 2.0 * np.eye(2)
+
+        X0 = np.array([[1.0, 0.25], [1.0, 1.0]])
+        res = minimize(rowwise(fun, convex), X0, free(2))
+        assert list(res.row_status) == [ZERO_PROGRESS, "converged"]
+        assert res.status == ZERO_PROGRESS
+        assert np.array_equal(res.x[0], X0[0])
+        assert np.allclose(res.x[1], [0.0, 2.0], atol=1e-12)
+
     def test_rows_independent_of_stack(self):
         X0 = np.array([[-1.2, 1.0], [0.0, 1.0], [2.0, -3.0]])
-        together = minimize(rowwise(rosenbrock), X0, free(2))
+        phi = rowwise(rosenbrock, rosenbrock_gauss_newton)
+        together = minimize(phi, X0, free(2))
         for i in range(3):
-            alone = minimize(rowwise(rosenbrock), X0[i:i + 1], free(2))
+            alone = minimize(phi, X0[i:i + 1], free(2))
             assert np.array_equal(alone.x[0], together.x[i])
             assert alone.f[0] == together.f[i]
 
@@ -109,7 +175,7 @@ class TestMinimize:
         values = [quartic(x0[0])[0]]
         for k in range(1, 100):
             monkeypatch.setattr(optim, "_MAX_ITERS", k)
-            res = minimize(rowwise(quartic), x0, free(2))
+            res = minimize(rowwise(quartic, quartic_convex), x0, free(2))
             assert res.iters == k
             values.append(res.f[0])
             if res.status == "converged":
@@ -142,7 +208,8 @@ class TestMinimize:
 
     def test_max_iters_status(self, monkeypatch):
         monkeypatch.setattr(optim, "_MAX_ITERS", 2)
-        res = minimize(rowwise(rosenbrock), np.array([[-1.2, 1.0]]), free(2))
+        res = minimize(rowwise(rosenbrock, rosenbrock_gauss_newton),
+                       np.array([[-1.2, 1.0]]), free(2))
         assert res.status == "max_iters"
         assert res.iters == 2
 
