@@ -14,17 +14,15 @@ from .dsp import (AudioClip, StftConfig, apply_mask, band_mask, load_wav,
 from .errors import (DataFormatError, NumericalError, PofError,
                      UnsupportedFormatError, ValidationError)
 from .estep import (FrameResult, default_posterior_init, dump_posteriors,
-                    elbo, elbo_grad, floor_observations, infer_frame,
-                    infer_frames)
+                    elbo, elbo_grad, floor_observations, infer_frames)
 from .features import (FeatureMatrix, add_deltas, load_features_csv,
                        median_smooth, mfcc, pofc, save_features_csv)
 from .model import (BandMask, FramePosterior, ModelMeta, PoFModel, Spectrogram,
-                    expected_log_spectrum, load_model, load_spectrogram,
-                    sample, save_model, save_spectrogram)
+                    load_model, load_spectrogram, sample, save_model,
+                    save_spectrogram)
 from .mstep import (EmConfig, SufficientStats, fit, grad_alpha, grad_gamma,
                     grad_u_row, mstep, q_objective)
 from .nmf import (NmfFit, NmfModel, load_nmf_model, nmf_encode, nmf_expand,
                   nmf_fit, save_nmf_model)
 from .optim import OptimResult, minimize
-from .specfn import (GammaParams, digamma, gamma_entropy, gamma_expect_a,
-                     gamma_expect_log_a, ln_gamma, log_gamma_mgf, trigamma)
+from .specfn import digamma, ln_gamma, trigamma

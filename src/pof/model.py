@@ -32,7 +32,6 @@ __all__ = [
     "check_spectrum",
     "BandMask",
     "sample",
-    "expected_log_spectrum",
     "save_model",
     "load_model",
     "save_spectrogram",
@@ -227,18 +226,6 @@ def sample(model: PoFModel, T: int, seed: int) -> tuple[Spectrogram, np.ndarray]
         hop=model.meta.n_fft // 2,
     )
     return spec, a
-
-
-def expected_log_spectrum(model: PoFModel, a: np.ndarray) -> np.ndarray:
-    """Log-spectrum sum_l U_fl a_l implied by a non-negative activation vector."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (model.n_filters,):
-        raise ValidationError(
-            f"activation length {a.shape} does not match L={model.n_filters}"
-        )
-    if np.any(a < 0):
-        raise ValidationError("activations must be non-negative")
-    return model.U @ a
 
 
 # ----------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 minimize(phi, X0, lower) minimises n independent functions at once, one
 per row x of the (n, d) array X0, each subject to the box x > lower. Both
-EM steps use it: the E-step for the frames of a chunk in (nu, rho), the
-M-step for rows of U.
+EM steps use it: the E-step for the frames of a chunk in
+y = (log nu, log rho), the M-step for rows of U.
 
 phi(X) takes an (n, d) stack and returns each row's value (n,), gradient
 (n, d), Hessian H (n, d, d) and a positive-semidefinite stand-in C for H
 (n, d, d). A row that is infeasible, or whose value or derivatives are not
 finite, has value +inf. Rows that are not being evaluated are passed as
 NaN and must come back as +inf. A phi whose H is positive semidefinite
-everywhere returns H itself as C.
+everywhere returns H itself as C. A row needs a finite Hessian: where a
+finite value comes with an H that is not finite (1/x**2 overflows at
+x = 1e-200), the row gets no finite step, and it ends ZERO_PROGRESS at its
+start, or line_search_failed after earlier progress.
 
 Direction. Each row's Hessian is Jacobi-scaled, D = 1/sqrt(|diag H|).
 Where D H D has a Cholesky factor the step is the Newton step on H.
@@ -53,8 +56,9 @@ ZERO_PROGRESS = "zero_progress"
 FAILED_START = "failed: starting point is infeasible (objective not finite)"
 
 # Newton iterations per row. At F=129, L=20 an E-step frame from the
-# default start takes about 18 and a first M-step row about 11; the cap only
-# bounds a row that keeps accepting steps without reaching round-off.
+# default start takes about 11 in log coordinates (at most 15 in 100
+# frames) and a first M-step row about 11; the cap only bounds a row that
+# keeps accepting steps without reaching round-off.
 _MAX_ITERS = 200
 _MAX_HALVINGS = 60
 _ARMIJO_C1 = 1e-4
@@ -93,7 +97,9 @@ def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix of the stack m; a matrix that is not finite becomes 0."""
     diag = np.abs(np.diagonal(m, axis1=1, axis2=2))
     scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-    m = m * scale[:, :, None] * scale[:, None, :]
+    with np.errstate(invalid="ignore"):
+        # an infinite diagonal gives scale 0, and inf * 0 is NaN
+        m = m * scale[:, :, None] * scale[:, None, :]
     m[~np.all(np.isfinite(m), axis=(1, 2))] = 0.0
     return m, scale
 

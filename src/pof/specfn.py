@@ -1,36 +1,21 @@
-"""Gamma special functions and expectation kernels.
+"""Gamma special functions.
 
 Dependency-free numpy implementations of log-gamma, digamma, trigamma and
 tetragamma (one shared upward recurrence into the asymptotic range, then
-Bernoulli-series tails), plus the gamma-distribution expectations E[a],
-E[log a], differential entropy, and the log of E[exp(-u a)], which is
-finite only for u > -rate and +inf otherwise. The package's bounds and
-gradients call _gamma_fns directly; the expectation kernels build the
-naive, term-by-term reference bound (tests/conftest.py) that those are
-tested against.
+Bernoulli-series tails). The package's bounds and gradients call
+_gamma_fns directly; ln_gamma, digamma and trigamma are its checked public
+forms.
 
-All kernels broadcast over array-valued parameters; scalar inputs give
-scalar outputs.
+All functions broadcast over arrays; scalar inputs give scalar outputs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = [
-    "GammaParams",
-    "ln_gamma",
-    "digamma",
-    "trigamma",
-    "gamma_entropy",
-    "gamma_expect_a",
-    "gamma_expect_log_a",
-    "log_gamma_mgf",
-]
+__all__ = ["ln_gamma", "digamma", "trigamma"]
 
 # Bernoulli numbers B_2, B_4, ..., B_14.
 _BERNOULLI = (
@@ -57,24 +42,6 @@ _HALF_LOG_TWO_PI = 0.5 * np.log(2.0 * np.pi)
 _TAIL_COEF = np.array([_LNG_COEF, _PSI_COEF, _BERNOULLI, _PSI2_COEF])
 _TAIL_POW = np.arange(len(_BERNOULLI), dtype=float)[:, None]
 _SHIFTS = np.arange(8, dtype=float)[:, None]
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """A (shape, rate) gamma parameter pair; both entries strictly positive.
-
-    Either field may be a scalar or an array; the expectation kernels
-    broadcast over them elementwise.
-    """
-
-    shape: float | np.ndarray
-    rate: float | np.ndarray
-
-    def __post_init__(self):
-        for name in ("shape", "rate"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0):
-                raise ValidationError(f"GammaParams.{name} must be positive and finite")
 
 
 def _checked(x, name: str) -> np.ndarray:
@@ -192,47 +159,3 @@ def digamma(x):
 def trigamma(x):
     """psi_1(x) = d/dx psi(x) for x > 0."""
     return _maybe_scalar(_trigamma(_checked(x, "x")), x)
-
-
-def gamma_entropy(q: GammaParams):
-    """Differential entropy of Gamma(shape, rate).
-
-    shape - log(rate) + log Gamma(shape) + (1 - shape) psi(shape), formed as
-    psi(shape) + h(shape) - log(rate) (see _gamma_fns) so that it does not
-    cancel at large shape.
-    """
-    _, psi, _, _, ent, _, _ = _gamma_fns(np.asarray(q.shape, dtype=float), bound=True)
-    out = psi + ent - np.log(np.asarray(q.rate, dtype=float))
-    return _maybe_scalar(out, q.shape if np.ndim(q.shape) else q.rate)
-
-
-def gamma_expect_a(q: GammaParams):
-    """E[a] = shape / rate."""
-    out = np.asarray(q.shape, dtype=float) / np.asarray(q.rate, dtype=float)
-    return _maybe_scalar(out, q.shape if np.ndim(q.shape) else q.rate)
-
-
-def gamma_expect_log_a(q: GammaParams):
-    """E[log a] = psi(shape) - log(rate)."""
-    nu = np.asarray(q.shape, dtype=float)
-    out = _digamma(nu) - np.log(np.asarray(q.rate, dtype=float))
-    return _maybe_scalar(out, q.shape if np.ndim(q.shape) else q.rate)
-
-
-def log_gamma_mgf(u, q: GammaParams):
-    """log E[exp(-u a)] under a ~ Gamma(shape, rate).
-
-    Equals -shape * log1p(u / rate) when u > -rate. For u <= -rate the
-    expectation diverges and the result is +inf, so a bound summed from
-    these terms is -inf exactly where the model's bound is.
-    """
-    ua = np.asarray(u, dtype=float)
-    nu = np.asarray(q.shape, dtype=float)
-    rho = np.asarray(q.rate, dtype=float)
-    ratio = ua / rho
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = -nu * np.log1p(ratio)
-    out = np.where(ratio > -1.0, val, np.inf)
-    if np.ndim(u) == 0 and np.ndim(q.shape) == 0 and np.ndim(q.rate) == 0:
-        return float(out)
-    return out

@@ -1,0 +1,111 @@
+"""Reference code that only the tests use.
+
+The gamma-distribution kernels E[a], E[log a], the differential entropy and
+the log of E[exp(-u a)] build the naive, term-by-term bound of
+conftest.elbo_oracle, which the package's batched bound is tested against.
+They call the package's special functions (specfn._gamma_fns), so the tests
+of these kernels test those too. infer_frame solves one frame through the
+E-step's chunk solver, and expected_log_spectrum is U a.
+
+All kernels broadcast over array-valued parameters; scalar inputs give
+scalar outputs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pof import FramePosterior, NumericalError, PoFModel, ValidationError
+from pof.estep import _check_frame, _solve
+from pof.optim import FAILED_START
+from pof.specfn import _digamma, _gamma_fns, _maybe_scalar
+
+
+@dataclass(frozen=True)
+class GammaParams:
+    """A (shape, rate) gamma parameter pair; both entries strictly positive.
+
+    Either field may be a scalar or an array; the expectation kernels
+    broadcast over them elementwise.
+    """
+
+    shape: float | np.ndarray
+    rate: float | np.ndarray
+
+    def __post_init__(self):
+        for name in ("shape", "rate"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.size == 0 or not np.all(np.isfinite(v)) or np.any(v <= 0):
+                raise ValidationError(f"GammaParams.{name} must be positive and finite")
+
+
+def _like(q: GammaParams):
+    return q.shape if np.ndim(q.shape) else q.rate
+
+
+def gamma_entropy(q: GammaParams):
+    """Differential entropy of Gamma(shape, rate).
+
+    shape - log(rate) + log Gamma(shape) + (1 - shape) psi(shape), formed as
+    psi(shape) + h(shape) - log(rate) (see specfn._gamma_fns) so that it
+    does not cancel at large shape.
+    """
+    _, psi, _, _, ent, _, _ = _gamma_fns(np.asarray(q.shape, dtype=float), bound=True)
+    out = psi + ent - np.log(np.asarray(q.rate, dtype=float))
+    return _maybe_scalar(out, _like(q))
+
+
+def gamma_expect_a(q: GammaParams):
+    """E[a] = shape / rate."""
+    out = np.asarray(q.shape, dtype=float) / np.asarray(q.rate, dtype=float)
+    return _maybe_scalar(out, _like(q))
+
+
+def gamma_expect_log_a(q: GammaParams):
+    """E[log a] = psi(shape) - log(rate)."""
+    nu = np.asarray(q.shape, dtype=float)
+    out = _digamma(nu) - np.log(np.asarray(q.rate, dtype=float))
+    return _maybe_scalar(out, _like(q))
+
+
+def log_gamma_mgf(u, q: GammaParams):
+    """log E[exp(-u a)] under a ~ Gamma(shape, rate).
+
+    Equals -shape * log1p(u / rate) when u > -rate. For u <= -rate the
+    expectation diverges and the result is +inf, so a bound summed from
+    these terms is -inf exactly where the model's bound is.
+    """
+    ua = np.asarray(u, dtype=float)
+    nu = np.asarray(q.shape, dtype=float)
+    rho = np.asarray(q.rate, dtype=float)
+    ratio = ua / rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        val = -nu * np.log1p(ratio)
+    out = np.where(ratio > -1.0, val, np.inf)
+    if np.ndim(u) == 0 and np.ndim(q.shape) == 0 and np.ndim(q.rate) == 0:
+        return float(out)
+    return out
+
+
+def expected_log_spectrum(model: PoFModel, a: np.ndarray) -> np.ndarray:
+    """Log-spectrum sum_l U_fl a_l implied by a non-negative activation vector."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (model.n_filters,):
+        raise ValidationError(
+            f"activation length {a.shape} does not match L={model.n_filters}"
+        )
+    if np.any(a < 0):
+        raise ValidationError("activations must be non-negative")
+    return model.U @ a
+
+
+def infer_frame(w, model: PoFModel, init: FramePosterior) -> tuple[FramePosterior, float]:
+    """Optimize (nu, rho) for one positive frame w, unfloored; returns the
+    posterior and its bound. Raises NumericalError when the start is
+    infeasible."""
+    (result,) = _solve(_check_frame(w, model)[:, None], model, [init])
+    if result.status == FAILED_START:
+        raise NumericalError("initial posterior is infeasible for this model")
+    return result.posterior, result.elbo

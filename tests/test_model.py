@@ -8,11 +8,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pof import (BandMask, DataFormatError, EmConfig, FramePosterior, ModelMeta, NmfModel,
-                 PoFModel, Spectrogram, SufficientStats, ValidationError,
-                 expected_log_spectrum, fit, floor_observations, grad_alpha, grad_gamma,
-                 grad_u_row, infer_frames, load_model, load_spectrogram, mstep,
-                 nmf_encode, nmf_fit, q_objective, sample, save_model, save_spectrogram)
+                 PoFModel, Spectrogram, SufficientStats, ValidationError, fit,
+                 floor_observations, grad_alpha, grad_gamma, grad_u_row, infer_frames,
+                 load_model, load_spectrogram, mstep, nmf_encode, nmf_fit, q_objective,
+                 sample, save_model, save_spectrogram)
 from conftest import random_feasible_posterior, random_model
+from reference import expected_log_spectrum
 
 # Round-trip fuzz: every example rewrites one file under tmp_path.
 fuzz = settings(max_examples=20, deadline=None,

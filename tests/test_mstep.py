@@ -17,9 +17,10 @@ from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationErro
 from pof.estep import floor_observations, infer_frames
 from pof.mstep import (SufficientStats, _alpha_c, _gamma_c, _solve_shape,
                        _u_row_q, _u_rows_phi)
-from pof.specfn import _shape_eq, gamma_entropy, GammaParams
+from pof.specfn import _shape_eq
 from conftest import (central_diff, q_oracle, random_feasible_posterior,
                       random_model)
+from reference import GammaParams, gamma_entropy
 
 
 def random_problem(rng, F=6, L=3, T=4):

@@ -225,6 +225,20 @@ class TestMinimize:
         assert res.status == "converged"
         assert res.x[0, 0] == pytest.approx(1.0, abs=1e-10)
 
+    def test_overflowing_hessian_at_start_is_zero_progress(self):
+        # the same function from 1e-200: f and g are finite but H = 1/x^2
+        # overflows, so the row has no finite step and keeps its start,
+        # with a status rather than a RuntimeWarning
+        def f(x):
+            with np.errstate(over="ignore"):
+                h = (1.0 / x[0]) ** 2
+            return -math.log(x[0]) + x[0], np.array([1.0 - 1.0 / x[0]]), np.full((1, 1), h)
+
+        x0 = np.array([[1e-200]])
+        res = minimize(rowwise(f), x0, np.zeros(1))
+        assert res.status == ZERO_PROGRESS
+        assert np.array_equal(res.x, x0)
+
     def test_no_accepted_step_is_zero_progress(self):
         # the reported gradient points uphill, so every step along the
         # Newton direction raises f: the one iteration begun accepts no

@@ -1,4 +1,5 @@
-"""Unit tests for the gamma special functions and expectation kernels.
+"""Unit tests for the gamma special functions and the expectation kernels
+of tests/reference.py, which are built on them.
 
 Frozen expected values were computed from exact identities (factorials,
 pi**2 constants) or from the Monte-Carlo / series oracles noted inline.
@@ -12,10 +13,10 @@ import pytest
 import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
-from pof import GammaParams, ValidationError
-from pof.specfn import (_gamma_fns, _shape_eq, _trigamma, digamma, gamma_entropy,
-                        gamma_expect_a, gamma_expect_log_a, ln_gamma, log_gamma_mgf,
-                        trigamma)
+from pof import ValidationError
+from pof.specfn import _gamma_fns, _shape_eq, _trigamma, digamma, ln_gamma, trigamma
+from reference import (GammaParams, gamma_entropy, gamma_expect_a, gamma_expect_log_a,
+                       log_gamma_mgf)
 
 
 def euler_gamma_series(n=200):
