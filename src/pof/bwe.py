@@ -32,8 +32,13 @@ RECON_MODES = ("log_domain", "mgf")
 
 @dataclass
 class BweResult:
+    """Per frame: the posterior (the prior mean where inference gave none)
+    and its inference status; replaced counts the prior means."""
+
     reconstructed: Spectrogram
     posteriors: list[FramePosterior]
+    statuses: list[str]
+    replaced: int
 
 
 def restrict_model(model: PoFModel, mask: BandMask) -> PoFModel:
@@ -98,14 +103,11 @@ def expand(
     observed = mask.select(spec.data, model.n_bins)
     sub = restrict_model(model, mask)
     results = infer_frames(observed, sub, seed=seed)
-    posteriors = []
-    for r in results:
-        if math.isfinite(r.elbo) and r.status != ZERO_PROGRESS:
-            posteriors.append(r.posterior)
-        else:
-            posteriors.append(FramePosterior(model.alpha, model.alpha))
+    inferred = [math.isfinite(r.elbo) and r.status != ZERO_PROGRESS for r in results]
+    posteriors = [r.posterior if k else FramePosterior(model.alpha, model.alpha)
+                  for r, k in zip(results, inferred)]
 
     recon = np.column_stack([reconstruct_point(model, p, mode) for p in posteriors])
     recon[mask.kept] = observed
     out = Spectrogram(recon, spec.kind, spec.sample_rate, spec.n_fft, spec.hop)
-    return BweResult(reconstructed=out, posteriors=posteriors)
+    return BweResult(out, posteriors, [r.status for r in results], inferred.count(False))

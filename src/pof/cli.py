@@ -19,7 +19,7 @@ from .bwe import expand
 from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_distance,
                   stft_magnitude, stft_power)
 from .errors import DataFormatError, NumericalError, PofError, ValidationError
-from .estep import FrameResult, dump_posteriors, infer_frames
+from .estep import FrameResult, dump_posteriors, infer_frames, status_counts
 from .features import add_deltas, median_smooth, mfcc, pofc, save_features_csv
 from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sample,
                     save_model, save_spectrogram)
@@ -147,7 +147,8 @@ def cmd_encode(args) -> int:
     model = load_model(args.model)
     results = infer_frames(spec, model, seed=cfg["seed"])
     dump_posteriors(results, args.output)
-    _info(f"wrote {args.output} ({len(results)} frames)")
+    _info(f"wrote {args.output} ({len(results)} frames) "
+          f"{status_counts(r.status for r in results)}")
     return 0
 
 
@@ -162,7 +163,8 @@ def cmd_bwe(args) -> int:
     if args.dump_posteriors:
         records = [FrameResult(p, float("nan"), "bwe") for p in result.posteriors]
         dump_posteriors(records, args.dump_posteriors)
-    _info(f"wrote {args.output} ({mask.size} observed bins of {model.n_bins})")
+    _info(f"wrote {args.output} ({mask.size} observed bins of {model.n_bins}) "
+          f"prior_mean={result.replaced} {status_counts(result.statuses)}")
     return 0
 
 

@@ -19,18 +19,22 @@ Gram term plus one 2x2 block B_l per filter on (nu_l, rho_l), and only the
 blocks can be indefinite. Its stand-in C is the Gram term plus the blocks
 |B_l|, each block's eigenvalues made absolute in closed form (the |H| of
 saddle-free Newton, Dauphin et al. 2014, where the indefiniteness lives).
-_Frames.bound evaluates L, its gradient g, H and C in (nu, rho).
+_Frames.bound evaluates L, its gradient g, H and C in (nu, rho) in one
+(m, 2L, F) buffer for m frames: log1p(U_fl / rho_l) and U_fl / rho_l, the
+latter turned into B = U / (rho + U) in place. Every sum over f is a matrix
+product on it: S, the f-sums behind g, and the Gram term, from the buffer
+scaled by sqrt(c) in place. Per frame it holds 2 F L floats, and forming B
+takes F L more for a moment; _solve sizes its chunks from that footprint.
 
 Frames are independent. infer_frames solves the frames of a chunk together
 with the batched damped Newton of pof.optim.minimize in the log coordinates
 y = (log nu, log rho), where the box nu > 0, rho > rho_min with
 rho_min = max(0, -min_f U_fl) is the box y_rho > log rho_min. Converged nu
 spans 0.7 to 1,740 on the benchmark's frames from starts near 1, and a
-Newton step in plain nu
-grows a scale only geometrically (the reason mstep._solve_shape takes its
-Newton steps on 1/x); in y a frame from the default start takes about 11
-iterations instead of 18. With x = exp(y) and X = diag(x) the solver sees
--L(exp y) with
+Newton step in plain nu grows a scale only geometrically (the reason
+mstep._solve_shape takes its Newton steps on 1/x); in y a frame from the
+default start takes about 11 iterations instead of 18. With x = exp(y) and
+X = diag(x) the solver sees -L(exp y) with
 
     g_y = x * g,   H_y = X H X + diag(g_y),   C_y = X C X + diag(max(g_y, 0)),
 
@@ -39,12 +43,12 @@ it is H_y wherever C = H and g_y >= 0; where H_y has no Cholesky factor the
 solver steps on C_y. A frame's posterior is exp(y) and its bound is the
 one there. A frame that never moved ("zero_progress", a failed start, a
 converged start) keeps its start x0 bitwise, with the bound at
-exp(log x0), which equals its start's to rounding. Each frame is solved to round-off and keeps the status
-its solve ended with; a frame that reports "zero_progress" still holds its
-start, not an inferred posterior. Every reduction over a frame's terms
-stays within that frame, so a frame's result does not depend on the frames
-that share its chunk.
-The default start lies at least rho_min inside the barrier
+exp(log x0), which equals its start's to rounding. Each frame is solved to
+round-off and keeps the status its solve ended with; a frame that reports
+"zero_progress" still holds its start, not an inferred posterior. Every
+reduction over a frame's terms, matrix products included, stays within
+that frame, so a frame's result does not depend on the frames that share
+its chunk. The default start lies at least rho_min inside the barrier
 (default_posterior_init).
 """
 
@@ -52,13 +56,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import FramePosterior, PoFModel, check_spectrum
-from .optim import chunks, minimize
+from .optim import FAILED_START, ZERO_PROGRESS, chunks, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
 __all__ = [
@@ -69,6 +74,7 @@ __all__ = [
     "default_posterior_init",
     "floor_observations",
     "dump_posteriors",
+    "status_counts",
 ]
 
 # Observations are floored at this fraction of the spectrogram maximum so
@@ -90,6 +96,13 @@ class FrameResult:
     posterior: FramePosterior
     elbo: float
     status: str
+
+
+def status_counts(statuses) -> str:
+    """The frames per status: "converged=n max_iters=n ... failed_start=n"."""
+    counts = Counter("failed_start" if s == FAILED_START else s for s in statuses)
+    return " ".join(f"{s}={counts[s]}" for s in (
+        "converged", "max_iters", "line_search_failed", ZERO_PROGRESS, "failed_start"))
 
 
 def floor_observations(W) -> np.ndarray:
@@ -119,7 +132,7 @@ class _Frames:
 
     def __init__(self, w: np.ndarray, model: PoFModel):
         gamma, alpha = model.gamma, model.alpha
-        self.U = model.U
+        self.UT = np.ascontiguousarray(model.U.T)
         self.alpha = alpha
         self.gu = gamma @ model.U                         # (L,)
         self.gw = gamma * w                               # (n, F)
@@ -139,44 +152,46 @@ class _Frames:
         or whose bound, gradient or H is not finite, has bound -inf and NaN
         derivatives.
         """
-        n, L = x.shape[0], self.U.shape[1]
+        n, (L, F) = x.shape[0], self.UT.shape
         ok = np.flatnonzero(np.all(x > self.lower, axis=1))
-        U, alpha, gu = self.U, self.alpha, self.gu
+        alpha, gu = self.alpha, self.gu
         nu, rho = x[ok, :L], x[ok, L:]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = U / rho[:, None, :]                   # (m, F, L)
-            log1p_r = np.log1p(ratio)
+            # log1p(r) over r = U^T / rho, filter-major: passes run along f
+            jac = np.empty((ok.size, 2 * L, F))
+            r = np.divide(self.UT, rho[:, :, None], out=jac[:, L:])
+            np.log1p(r, out=jac[:, :L])
             # c_f = gamma_f w_f exp(S_f), S_f = -sum_l nu_l log1p(U_fl / rho_l)
-            c = self.gw[ok] * np.exp(-(log1p_r * nu[:, None, :]).sum(axis=2))
+            c = self.gw[ok] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
             ea = nu / rho
             _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
             v = (self.const[ok] - (gu * ea).sum(axis=1) - c.sum(axis=1)
                  + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
             good = np.isfinite(v)
             if derivs:
-                # jac = dS / d(nu, rho): -log1p(U / rho) and nu B / rho with
-                # B = U / (rho + U)
-                B = ratio / (1.0 + ratio)
-                jac = np.concatenate((-log1p_r, ea[:, None, :] * B), axis=2)
-                cj = c[:, :, None] * jac
-                g = -cj.sum(axis=1)
-                # minus sum_f c_f times the second derivatives of S_f:
-                # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2
-                d_nu_rho = g[:, L:] / nu
+                np.divide(r, r + 1.0, out=r)                  # B = U / (rho + U)
+                # dS / d(nu, rho) = (-log1p(r), ea B): g needs sum_f c log1p(r), c B
+                cl, cb = np.split((jac @ c[:, :, None])[:, :, 0], 2, axis=1)
                 k = (gu + alpha) / (rho * rho)
-                g[:, :L] += alpha * psi1 + ent1 - (gu + alpha) / rho
-                g[:, L:] += k * nu - alpha / rho
+                g = np.concatenate((cl + alpha * psi1 + ent1 - (gu + alpha) / rho,
+                                    k * nu - alpha / rho - ea * cb), axis=1)
                 good &= np.all(np.isfinite(g), axis=1)
             if derivs == 2:
-                d_rho_rho = (cj[:, :, L:] * (2.0 - B)).sum(axis=1) / rho
-                # the blocks B_l of -L: [[b_nn, b_nr], [b_nr, b_rr]]
-                blocks = (-(alpha * psi2 + ent2), -(d_nu_rho + k),
-                          -(d_rho_rho + alpha / (rho * rho) - 2.0 * k * ea))
-                gram = cj.transpose(0, 2, 1) @ jac
-                # the (m, F, L) terms go before the Hessian stacks are copied
-                del ratio, log1p_r, B, jac, cj
-                h = gram.copy()
+                # the Gram term sum_f c_f dS_f dS_f^T, signs and ea put in after
+                # the product; its rho diagonal before that is sum_f c_f B^2
+                jac *= np.sqrt(c)[:, None, :]
+                gram = jac @ jac.transpose(0, 2, 1)
+                del jac, r
                 i, j = np.arange(L), np.arange(L, 2 * L)
+                cb2 = gram[:, j, j]
+                d = np.concatenate((np.full_like(ea, -1.0), ea), axis=1)
+                gram *= d[:, :, None] * d[:, None, :]
+                # the blocks B_l of -L: [[b_nn, b_nr], [b_nr, b_rr]], with
+                # minus sum_f c_f times the second derivatives of S_f:
+                # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2
+                blocks = (-(alpha * psi2 + ent2), cb / rho - k,
+                          2.0 * k * ea - alpha / (rho * rho) - ea * (2.0 * cb - cb2) / rho)
+                h = gram.copy()
                 for m, (b_nn, b_nr, b_rr) in ((h, blocks), (gram, _abs_2x2(*blocks))):
                     m[:, i, i] += b_nn
                     m[:, i, j] += b_nr
@@ -275,12 +290,14 @@ def _solve(data: np.ndarray, model: PoFModel,
     x0 = np.array([np.concatenate((p.nu, p.rho)) for p in starts])
     y0 = np.log(x0)
     results = []
-    # a solve holds about seven float blocks of (F + 4 L) L per frame: the
-    # bound's (F, L) terms and the (2L, 2L) stacks of H and C, which the
-    # bound builds after it has dropped those terms and objective maps to
-    # y in place (measured with tracemalloc at L=20: 6.7 blocks at F=129,
-    # 6.3 at F=48)
-    for idx in chunks(np.arange(data.shape[1]), 7 * 8 * L * (F + 4 * L)):
+    # a solve's peak per frame, measured with tracemalloc at L=5 to 50 and
+    # F=48 to 1025, counts its F L and its L^2 parts apart: the bound's buffer,
+    # the temporary of B and a few F-vectors beside five (2L, 2L) stacks, or
+    # eleven such stacks while minimize picks its directions, whichever is
+    # more, plus about 4 kB of rows and results (at L=20 it is 124 to 130 kB
+    # per frame at F=129, 122 to 123 kB at F=48)
+    s = 4 * L * L
+    for idx in chunks(np.arange(data.shape[1]), 8 * max(3 * F * L + 5 * F + 5 * s, 11 * s) + 4096):
         frames = _Frames(np.ascontiguousarray(data[:, idx].T), model)
         with np.errstate(divide="ignore"):
             lower = np.log(frames.lower)

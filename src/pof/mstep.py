@@ -38,16 +38,15 @@ import logging
 import math
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .estep import floor_observations, infer_frames
+from .estep import floor_observations, infer_frames, status_counts
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram, check_spectrum
-from .optim import FAILED_START, ZERO_PROGRESS, chunks, minimize
+from .optim import chunks, minimize
 from .specfn import _digamma, _ln_gamma, _shape_eq
 
 __all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
@@ -328,6 +327,10 @@ def fit(
     Stops when the total bound grows by less than cfg.rel_tol (relative) or
     after cfg.max_em_iters iterations. Returns the fitted model and the
     per-iteration total-ELBO trace (non-decreasing up to float noise).
+    After a rel_tol stop, trace[-1] is the E-step bound under the returned
+    model. When max_em_iters ends the loop, the returned model has had one
+    M-step more, after the E-step that trace[-1] measures: its bound is not
+    computed, and the time of that M-step is not logged.
 
     Each iteration runs the E-step (infer_frames, warm-started from the
     previous posteriors), then one mstep.
@@ -372,13 +375,10 @@ def fit(
         trace.append(total)
         delta = total - prev if prev is not None else math.nan
         if log_sink is not None:
-            counts = Counter(r.status for r in results)
-            statuses = " ".join(f"{s}={counts[s]}" for s in (
-                "converged", "max_iters", "line_search_failed", ZERO_PROGRESS))
             log_sink(
                 f"iter={it} elbo={total:.10e} delta={delta:.6e} "
                 f"secs={time.perf_counter() - t0:.3f} mstep_secs={mstep_secs:.3f} "
-                f"{statuses} failed_start={counts[FAILED_START]}"
+                f"{status_counts(r.status for r in results)}"
             )
         if prev is not None and total - prev <= cfg.rel_tol * abs(prev):
             break

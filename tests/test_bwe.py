@@ -159,6 +159,9 @@ class TestExpand:
         monkeypatch.setattr("pof.bwe.infer_frames",
                             lambda *args, **kwargs: real[:2] + [stuck] + real[3:])
         result = expand(spec, model, mask, seed=1)
+        assert result.statuses == [r.status for r in real[:2]] + [ZERO_PROGRESS] + [
+            r.status for r in real[3:]]
+        assert result.replaced == 1
         assert np.array_equal(result.posteriors[2].nu, model.alpha)
         assert np.array_equal(result.posteriors[2].rho, model.alpha)
         prior_mean = reconstruct_point(model, FramePosterior(model.alpha, model.alpha))

@@ -13,6 +13,7 @@ from pof import (ModelMeta, NmfModel, PoFModel, Spectrogram, band_mask, load_fea
                  save_model, save_nmf_model, save_spectrogram)
 from pof import cli
 from pof.cli import main
+from pof.estep import FrameResult, infer_frames
 
 RATE, N_FFT, F = 8000.0, 16, 9
 
@@ -189,6 +190,44 @@ def test_train_logs_frame_status_counts(rng, tmp_path, capsys):
         counts = {name: int(fields[name]) for name in statuses}
         assert sum(counts.values()) == T
         assert counts["converged"] == T
+
+
+def test_encode_and_bwe_log_frame_status_counts(rng, tmp_path, capsys, monkeypatch):
+    # each command's stderr line ends with the frame-status counts; bwe's
+    # also says how many frames took the prior mean
+    T = 6
+    model = PoFModel(rng.normal(0.0, 0.3, size=(F, 2)), np.ones(2), np.full(F, 2.0),
+                     ModelMeta(sample_rate=RATE, n_fft=N_FFT))
+    save_model(model, tmp_path / "model.json")
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, T)))
+    argv = {"encode": ["encode", spec, "-m", str(tmp_path / "model.json"),
+                       "-o", str(tmp_path / "post.json")],
+            "bwe": ["bwe", spec, "-m", str(tmp_path / "model.json"),
+                    "-o", str(tmp_path / "out.pofs")]}
+    statuses = ("converged", "max_iters", "line_search_failed", "zero_progress",
+                "failed_start")
+
+    def counts(command):
+        assert main(argv[command]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("wrote ")
+        fields = dict(item.split("=", 1) for item in line.split() if "=" in item)
+        assert list(fields)[-len(statuses):] == list(statuses)
+        return {name: int(value) for name, value in fields.items()}
+
+    for command in argv:
+        got = counts(command)
+        assert got["converged"] == T and sum(got[s] for s in statuses) == T
+    assert got["prior_mean"] == 0
+
+    # a frame that made no progress is counted, and replaced by the prior mean
+    def stuck(*args, **kwargs):
+        first, *rest = infer_frames(*args, **kwargs)
+        return [FrameResult(first.posterior, first.elbo, "zero_progress"), *rest]
+
+    monkeypatch.setattr("pof.bwe.infer_frames", stuck)
+    got = counts("bwe")
+    assert (got["prior_mean"], got["zero_progress"], got["converged"]) == (1, 1, T - 1)
 
 
 @pytest.mark.parametrize("command, rel_tol", [("train", "nan"), ("nmf-train", "-1")])

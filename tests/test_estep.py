@@ -6,19 +6,35 @@ L-BFGS-B."""
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.optimize
 
 from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
-                 elbo, elbo_grad, sample)
+                 band_mask, elbo, elbo_grad, restrict_model, sample)
 from pof.estep import (_Frames, _abs_2x2, default_posterior_init, dump_posteriors,
                        floor_observations, infer_frames)
 from pof.optim import FAILED_START, ZERO_PROGRESS
 from conftest import (central_diff, elbo_oracle, importance_log_marginal,
                       random_feasible_posterior, random_frame, random_model)
 from reference import infer_frame
+
+
+def bench_inputs(telephone_band=False, frames=100, seed=0):
+    """The benchmark's model (F=129 bins at 16 kHz, n_fft=256, L=20) and
+    frames drawn from it; with telephone_band, both restricted to the F=48
+    bins of 400-3400 Hz, as pof bwe solves them."""
+    rng = np.random.default_rng(0)
+    F, L = 129, 20
+    model = PoFModel(rng.normal(0.0, 0.3, size=(F, L)), rng.uniform(0.5, 3.0, size=L),
+                     rng.uniform(0.5, 5.0, size=F))
+    W = sample(model, frames, seed=seed)[0].data
+    if telephone_band:
+        mask = band_mask(F, 16000.0, 256, 400.0, 3400.0)
+        model, W = restrict_model(model, mask), mask.select(W, F)
+    return model, W
 
 
 def trivial_instance():
@@ -252,6 +268,29 @@ class TestCurvature:
             assert np.array_equal(got, [a, b, c])
 
 
+class TestOneEvaluationPath:
+    """bound builds g, H and C in the buffer that holds the bound's terms,
+    so what derivs asks for must not change what it returns besides."""
+
+    @pytest.mark.parametrize("F, L", [(6, 3), (129, 20)])
+    def test_value_and_gradient_do_not_depend_on_derivs(self, rng, F, L):
+        for _ in range(3):
+            model = random_model(rng, F, L)
+            w = random_frame(rng, model)
+            x = curvature_points(rng, model, w)
+            frames = _Frames(np.tile(w, (len(x) + 2, 1)), model)
+            outside = np.repeat(x[:1], 2, axis=0)
+            outside[0, 0] = -1.0                           # nu < 0
+            outside[1, L:] = 0.5 * frames.lower[L:]        # rho inside the barrier
+            x = np.concatenate((x, outside))
+            (v0, _, _, _), (v1, g1, _, _), (v2, g2, _, _) = (
+                frames.bound(x, derivs=d) for d in (0, 1, 2))
+            assert np.all(v0[-2:] == -math.inf) and np.all(np.isnan(g2[-2:]))
+            assert np.all(np.isfinite(v0[:-2]))
+            assert np.array_equal(v0, v1) and np.array_equal(v0, v2)
+            assert np.array_equal(g1, g2, equal_nan=True)
+
+
 def log_objective(w, model, y):
     """_Frames.objective at the rows of y = log(nu, rho) for one frame w."""
     return _Frames(np.tile(w, (len(y), 1)), model).objective(y)
@@ -445,11 +484,11 @@ class TestInferFrames:
             assert np.array_equal(res_p[i].posterior.nu, res[t].posterior.nu)
             assert np.array_equal(res_p[i].posterior.rho, res[t].posterior.rho)
 
-    def test_one_frame_calls_equal_multi_chunk_call(self, rng, monkeypatch):
+    @staticmethod
+    def assert_chunks_equal_one_frame_calls(W, model, monkeypatch):
         # chunks of 5, 5 and 2 frames: each frame's result is bitwise the
         # one it gets when solved alone
-        model = random_model(rng, 8, 3)
-        W = floor_observations(rng.lognormal(size=(8, 12)))
+        W = floor_observations(W)
         monkeypatch.setattr(importlib.import_module("pof.estep"), "chunks",
                             lambda items, _: [items[i:i + 5] for i in range(0, items.size, 5)])
         batched = infer_frames(W, model, seed=7)
@@ -461,17 +500,42 @@ class TestInferFrames:
             assert a.elbo == b.elbo
             assert a.status == b.status == "converged"
 
+    def test_one_frame_calls_equal_multi_chunk_call(self, rng, monkeypatch):
+        model = random_model(rng, 8, 3)
+        self.assert_chunks_equal_one_frame_calls(rng.lognormal(size=(8, 12)), model,
+                                                 monkeypatch)
+
+    @pytest.mark.parametrize("telephone_band", [False, True], ids=["F=129", "F=48"])
+    def test_one_frame_calls_equal_multi_chunk_call_at_benchmark_size(
+            self, telephone_band, monkeypatch):
+        # the sums over f go through BLAS matrix products
+        model, W = bench_inputs(telephone_band, frames=12, seed=3)
+        self.assert_chunks_equal_one_frame_calls(W, model, monkeypatch)
+
+    @pytest.mark.parametrize("telephone_band", [False, True], ids=["F=129", "F=48"])
+    def test_solve_stays_within_its_chunk_budget(self, telephone_band, monkeypatch):
+        # the peak bytes of one chunk's solve per frame, as tracemalloc sees
+        # numpy's buffers, against the bytes per frame _solve asks chunks for
+        model, W = bench_inputs(telephone_band, frames=32, seed=4)
+        budget = []
+        monkeypatch.setattr(importlib.import_module("pof.estep"), "chunks",
+                            lambda items, item_bytes: budget.append(item_bytes) or [items])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            infer_frames(W, model, seed=1)
+            per_frame = (tracemalloc.get_traced_memory()[1] - base) / W.shape[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.6 * budget[0] <= per_frame <= budget[0]
+
     def test_newton_iterations_per_frame(self, monkeypatch):
         # a guard on the coordinates and the direction rule that needs no
         # timing: at the benchmark's size, frames solved one by one from the
         # default start take 11.0 Newton iterations on average (15 at most)
         # in log coordinates, about 18 in the plain (nu, rho) and about 26
         # with an |eigenvalue|-modified step in place of the step on C
-        rng = np.random.default_rng(0)
-        F, L = 129, 20
-        model = PoFModel(rng.normal(0.0, 0.3, size=(F, L)), rng.uniform(0.5, 3.0, size=L),
-                         rng.uniform(0.5, 5.0, size=F))
-        spec, _ = sample(model, 100, seed=0)
+        model, W = bench_inputs()
         estep = importlib.import_module("pof.estep")
         solve, iters = estep.minimize, []
 
@@ -483,7 +547,7 @@ class TestInferFrames:
         monkeypatch.setattr(estep, "minimize", counted)
         monkeypatch.setattr(estep, "chunks",
                             lambda items, _: [items[i:i + 1] for i in range(items.size)])
-        results = infer_frames(spec, model, seed=1)
+        results = infer_frames(W, model, seed=1)
         assert len(iters) == 100
         assert all(r.status == "converged" for r in results)
         assert np.mean(iters) <= 13.0
