@@ -80,25 +80,28 @@ def expand(
 ) -> BweResult:
     """Infer activations from the band-limited observation and fill the band.
 
-    source may be an AudioClip at the model's sample rate (analysed with
-    the model's n_fft and hop n_fft/2) or a Spectrogram carrying either
-    all F rows or exactly the masked rows. Frames whose inference fails
-    (a non-finite bound) or makes no progress (status ZERO_PROGRESS, whose
-    posterior is only its random start) fall back to the prior-mean
-    posterior (E[a] = 1), i.e. the model's mean log-spectrum.
+    source is an AudioClip (analysed with the model's n_fft and hop n_fft/2)
+    or a Spectrogram at the model's n_fft carrying either all F rows or
+    exactly the masked rows, either at the model's sample rate. Frames
+    whose inference fails (a non-finite bound) or makes no progress (status
+    ZERO_PROGRESS, whose posterior is only its random start) fall back to
+    the prior-mean posterior (E[a] = 1), i.e. the model's mean log-spectrum.
     """
     if mode not in RECON_MODES:
         raise ValidationError(f"mode must be one of {RECON_MODES}")
     if isinstance(source, AudioClip):
-        if source.sample_rate != model.meta.sample_rate:
-            raise ValidationError(f"clip sample rate {source.sample_rate:g} Hz does not "
-                                  f"match the model's {model.meta.sample_rate:g} Hz")
         n_fft = model.meta.n_fft
         spec = stft_magnitude(source, StftConfig(n_fft=n_fft, hop=n_fft // 2))
     elif isinstance(source, Spectrogram):
         spec = source
     else:
         raise ValidationError("source must be an AudioClip or Spectrogram")
+    kind = "clip" if spec is not source else "spectrogram"
+    if spec.sample_rate != model.meta.sample_rate:
+        raise ValidationError(f"{kind} sample rate {spec.sample_rate:g} Hz does not "
+                              f"match the model's {model.meta.sample_rate:g} Hz")
+    if spec.n_fft != model.meta.n_fft:
+        raise ValidationError(f"spectrogram n_fft {spec.n_fft} is not the model's {model.meta.n_fft}")
 
     observed = mask.select(spec.data, model.n_bins)
     sub = restrict_model(model, mask)

@@ -47,9 +47,10 @@ exp(log x0), which equals its start's to rounding. Each frame is solved to
 round-off and keeps the status its solve ended with; a frame that reports
 "zero_progress" still holds its start, not an inferred posterior. Every
 reduction over a frame's terms, matrix products included, stays within
-that frame, so a frame's result does not depend on the frames that share
-its chunk. The default start lies at least rho_min inside the barrier
-(default_posterior_init).
+that frame, and each frame runs its own line search, one bound evaluation
+serving every frame of the chunk still solving; so a frame's result does
+not depend on the frames that share its chunk. The default start lies at
+least rho_min inside the barrier (default_posterior_init).
 """
 
 from __future__ import annotations

@@ -25,11 +25,11 @@ factored at once and, only if that fails, each matrix alone; so which rule
 a row gets, and every reduction, depends on that row only, and a row's
 result does not depend on the rows that share its stack.
 
-Step. A row's first trial is the full step, or _BARRIER_FRACTION of the
-way to the box when the full step would leave it; it halves until the
-trial satisfies Armijo and strictly lowers the value, so accepted values
-strictly decrease. Only rows still searching are evaluated again, and an
-accepted trial's derivatives serve the next iteration.
+Step. Each row runs its own backtrack: its first trial is the full step,
+or _BARRIER_FRACTION of the way to the box when the full step would leave
+it, halved until the trial satisfies Armijo and strictly lowers the value.
+Each phi call after the first evaluates every row still solving at its
+trial, and an accepted trial's derivatives serve that row's next step.
 
 Each row ends with one status (row_status):
   converged           the Newton decrement |g.d| fell below the rounding of
@@ -55,10 +55,10 @@ __all__ = ["OptimResult", "minimize", "chunks", "ZERO_PROGRESS", "FAILED_START"]
 ZERO_PROGRESS = "zero_progress"
 FAILED_START = "failed: starting point is infeasible (objective not finite)"
 
-# Newton iterations per row. At F=129, L=20 an E-step frame from the
-# default start takes about 11 in log coordinates (at most 15 in 100
-# frames) and a first M-step row about 11; the cap only bounds a row that
-# keeps accepting steps without reaching round-off.
+# Newton iterations, capped for each row on its own. At F=129, L=20 an
+# E-step frame from the default start takes about 11 in log coordinates (at
+# most 15 in 100 frames) and a first M-step row about 11; the cap only
+# bounds a row that keeps accepting steps without reaching round-off.
 _MAX_ITERS = 200
 _MAX_HALVINGS = 60
 _ARMIJO_C1 = 1e-4
@@ -73,10 +73,10 @@ _CHUNK_BYTES = 4 << 20
 
 @dataclass
 class OptimResult:
-    """x (n, d) and f (n,) of every row, the Newton iterations begun (an
-    iteration whose backtrack accepts no step counts too), the status of
-    the first row that did not converge ("converged" when all did), and
-    every row's status."""
+    """x (n, d) and f (n,) of every row, the most Newton iterations any row
+    began (an iteration whose backtrack accepts no step counts too), the
+    status of the first row that did not converge ("converged" when all
+    did), and every row's status."""
 
     x: np.ndarray
     f: np.ndarray
@@ -142,56 +142,51 @@ def minimize(phi, X0, lower) -> OptimResult:
     pof.mstep.minimize."""
     x = np.array(X0, dtype=float)
     f, grad, hess, curv = phi(x)
-    status = np.full(x.shape[0], "converged", dtype=object)
+    status = np.full(len(f), "converged", dtype=object)
     active = np.isfinite(f)
     status[~active] = FAILED_START
-    moved = np.zeros(x.shape[0], dtype=bool)
-    iters = 0
-    while active.any():
+    # per row: moved from its start, step, slope g.d, trial fraction t,
+    # iterations and halvings; new holds the rows at a point not yet stepped
+    moved, new = np.zeros_like(active), np.flatnonzero(active)
+    step, slope, t = np.zeros_like(x), np.zeros_like(f), np.zeros_like(f)
+    iters, halvings = np.zeros(len(f), dtype=int), np.zeros(len(f), dtype=int)
+    while True:
+        if new.size:
+            step[new] = _directions(hess[new], curv[new], grad[new])
+            slope[new] = (grad[new] * step[new]).sum(axis=1)
+            # a Newton decrement below the rounding of f: converged
+            active[new[np.abs(slope[new]) <= _EPS * np.abs(f[new])]] = False
+            capped = new[active[new] & (iters[new] == _MAX_ITERS)]
+            status[capped], active[capped] = "max_iters", False
+            new = new[active[new]]
+            iters[new] += 1
+            halvings[new] = 0
+            # the largest fraction of each step that keeps x > lower
+            with np.errstate(divide="ignore", invalid="ignore"):
+                room = np.where(step[new] < 0, (x[new] - lower) / -step[new], math.inf).min(axis=1)
+            t[new] = np.minimum(1.0, _BARRIER_FRACTION * room)
         rows = np.flatnonzero(active)
-        step = _directions(hess[rows], curv[rows], grad[rows])
-        slope = (grad[rows] * step).sum(axis=1)
-        # a Newton decrement below the rounding of f: converged
-        done = np.abs(slope) <= _EPS * np.abs(f[rows])
-        active[rows[done]] = False
-        rows, step, slope = rows[~done], step[~done], slope[~done]
+        stuck = ~np.isfinite(slope[rows]) | (halvings[rows] == _MAX_HALVINGS)
+        # a predicted decrease below the rounding of f ends the row:
+        # converged if it has moved, at its start if it has not
+        low = ~stuck & (t[rows] * np.abs(slope[rows]) <= _EPS * np.abs(f[rows]))
+        active[rows[low | stuck]] = False
+        ended = rows[stuck | (low & ~moved[rows])]
+        status[ended] = np.where(moved[ended], "line_search_failed", ZERO_PROGRESS)
+        rows = rows[active[rows]]
         if rows.size == 0:
             break
-        if iters == _MAX_ITERS:
-            status[rows] = "max_iters"
-            break
-        iters += 1
-        # the largest fraction of each step that keeps x > lower
-        with np.errstate(divide="ignore", invalid="ignore"):
-            room = np.where(step < 0, (x[rows] - lower) / -step, math.inf).min(axis=1)
-        t = np.minimum(1.0, _BARRIER_FRACTION * room)
-        searching = np.isfinite(slope)
-        stalled = ~searching
-        for _ in range(_MAX_HALVINGS):
-            # a predicted decrease below the rounding of f ends the row:
-            # converged if it has moved, at its start if it has not
-            low = searching & (t * np.abs(slope) <= _EPS * np.abs(f[rows]))
-            active[rows[low & moved[rows]]] = False
-            stalled |= low & ~moved[rows]
-            searching &= ~low
-            s = np.flatnonzero(searching)
-            if s.size == 0:
-                break
-            r = rows[s]
-            trial = np.full_like(x, math.nan)
-            trial[r] = x[r] + t[s, None] * step[s]
-            f_t, grad_t, hess_t, curv_t = phi(trial)
-            ok = (f_t[r] < f[r]) & (f_t[r] <= f[r] + _ARMIJO_C1 * t[s] * slope[s])
-            acc = r[ok]
-            x[acc], f[acc] = trial[acc], f_t[acc]
-            grad[acc], hess[acc], curv[acc] = grad_t[acc], hess_t[acc], curv_t[acc]
-            moved[acc] = True
-            searching[s[ok]] = False
-            t[s[~ok]] *= 0.5
-        stuck = rows[stalled | searching]
-        active[stuck] = False
-        status[stuck] = np.where(moved[stuck], "line_search_failed", ZERO_PROGRESS)
+        trial = np.full_like(x, math.nan)
+        trial[rows] = x[rows] + t[rows, None] * step[rows]
+        f_t, grad_t, hess_t, curv_t = phi(trial)
+        ok = (f_t[rows] < f[rows]) & (f_t[rows] <= f[rows] + _ARMIJO_C1 * t[rows] * slope[rows])
+        new, rej = rows[ok], rows[~ok]
+        x[new], f[new] = trial[new], f_t[new]
+        grad[new], hess[new], curv[new] = grad_t[new], hess_t[new], curv_t[new]
+        moved[new] = True
+        t[rej] *= 0.5
+        halvings[rej] += 1
 
     not_converged = np.flatnonzero(status != "converged")
     summary = status[not_converged[0]] if not_converged.size else "converged"
-    return OptimResult(x=x, f=f, iters=iters, status=summary, row_status=status)
+    return OptimResult(x=x, f=f, iters=int(iters.max(initial=0)), status=summary, row_status=status)

@@ -139,6 +139,23 @@ def test_bwe_on_wav_at_another_rate_is_exit_2(rng, tmp_path, capsys):
     assert "clip sample rate 8000 Hz does not match the model's 16000 Hz" in err
 
 
+@pytest.mark.parametrize("rate, n_fft, message", [
+    (RATE, N_FFT, "spectrogram sample rate 8000 Hz does not match the model's 16000 Hz"),
+    (2 * RATE, 2 * N_FFT, "spectrogram n_fft 32 is not the model's 16"),
+], ids=["rate", "n_fft"])
+def test_bwe_on_spectrogram_at_another_framing_is_exit_2(rng, tmp_path, capsys, rate, n_fft,
+                                                         message):
+    # F bins that do not lie at the model's frequencies: the band's rows
+    # would be the wrong ones, and the output would carry the input's rate
+    model = write_tiny_model(tmp_path / "model.json", rng, sample_rate=2 * RATE)
+    spec = tmp_path / "in.pofs"
+    save_spectrogram(Spectrogram(rng.lognormal(size=(F, 3)), "magnitude", rate, n_fft,
+                                 n_fft // 2), spec)
+    assert main(["bwe", str(spec), "-m", model, "-o", str(tmp_path / "out.pofs")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.pofs").exists()
+
+
 def test_subcommands_smoke(rng, tmp_path):
     # stft -> train -> features / synth, and nmf-train, on a 20-frame clip
     t = np.arange(8 * 21) / RATE

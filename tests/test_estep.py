@@ -552,6 +552,36 @@ class TestInferFrames:
         assert all(r.status == "converged" for r in results)
         assert np.mean(iters) <= 13.0
 
+    @pytest.mark.parametrize("seed", [201, 202])
+    def test_chunk_makes_as_many_calls_as_its_slowest_frame(self, seed, monkeypatch):
+        # a guard that needs no timing: each frame runs its own line search,
+        # so one chunk of 28 frames evaluates the bound as often as its
+        # slowest frame does when solved alone, and no frame's backtrack
+        # holds up the others
+        model, W = bench_inputs(frames=28, seed=seed)
+        W = floor_observations(W)
+        estep = importlib.import_module("pof.estep")
+        solve, calls = estep.minimize, []
+
+        def counted(phi, *args):
+            n = 0
+
+            def counted_phi(y):
+                nonlocal n
+                n += 1
+                return phi(y)
+
+            res = solve(counted_phi, *args)
+            calls.append(n)
+            return res
+
+        monkeypatch.setattr(estep, "minimize", counted)
+        infer_frames(W, model, seed=1)
+        assert len(calls) == 1
+        for t in range(W.shape[1]):
+            infer_frames(W[:, t:t + 1], model, init=[default_posterior_init(model, 1, t)])
+        assert calls[0] == max(calls[1:])
+
     def test_bounds_at_least_scipy_optimum(self, rng):
         # scipy's L-BFGS-B from the same start, on the same bound, inside
         # the same box (nu > 0, rho > rho_min), is an independent solver

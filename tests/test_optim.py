@@ -33,6 +33,28 @@ def rowwise(fun, convex=None):
     return phi
 
 
+def per_row(*funs):
+    """phi for minimize whose row i is that of rowwise(funs[i])."""
+    phis = [rowwise(fun) for fun in funs]
+
+    def phi(X):
+        outs = [p(X[i:i + 1]) for i, p in enumerate(phis)]
+        return tuple(np.concatenate(parts) for parts in zip(*outs))
+    return phi
+
+
+def solve_counted(phi, X0, lower):
+    """minimize's result and the number of phi calls it made."""
+    calls = 0
+
+    def counted(X):
+        nonlocal calls
+        calls += 1
+        return phi(X)
+
+    return minimize(counted, X0, lower), calls
+
+
 def quadratic(x):
     return float(x @ x), 2.0 * x, 2.0 * np.eye(x.size)
 
@@ -147,6 +169,53 @@ class TestMinimize:
             alone = minimize(phi, X0[i:i + 1], free(2))
             assert np.array_equal(alone.x[0], together.x[i])
             assert alone.f[0] == together.f[i]
+
+    def test_stack_makes_as_many_calls_as_its_slowest_row(self):
+        # the rows backtrack in different iterations; each runs its own line
+        # search, so no row waits for another's halvings and the stack
+        # makes the phi calls of its slowest row alone (30), not more
+        X0 = np.array([[-1.2, 1.0], [0.0, 1.0], [2.0, -3.0]])
+        phi = rowwise(rosenbrock, rosenbrock_gauss_newton)
+        _, together = solve_counted(phi, X0, free(2))
+        alone = [solve_counted(phi, X0[i:i + 1], free(2))[1] for i in range(3)]
+        assert len(set(alone)) == 3
+        assert together == max(alone)
+
+    def test_per_row_caps_in_a_stack(self, monkeypatch):
+        # one row of each ending, each capped on its own counts: -log x + x
+        # from 1e-13 needs 48 iterations and ends max_iters at the cap of
+        # 30; the wall of test_failure_after_progress_is_line_search_failed
+        # ends line_search_failed after 27; an infeasible start; a quadratic
+        monkeypatch.setattr(optim, "_MAX_ITERS", 30)
+
+        def steep(x):
+            return -math.log(x[0]) + x[0], np.array([1.0 - 1.0 / x[0]]), \
+                np.full((1, 1), 1.0 / x[0] ** 2)
+
+        def walled(x):
+            if x[0] < 2.0:
+                return math.inf, np.zeros(1), np.zeros((1, 1))
+            return float(x[0] ** 2 - 4.0), np.array([2.0 * x[0]]), np.full((1, 1), 2.0)
+
+        def positive(x):
+            if x[0] <= 0.0:
+                return math.inf, np.zeros(1), np.zeros((1, 1))
+            return quadratic(x - 3.0)
+
+        funs = [steep, walled, positive, lambda x: quadratic(x - 1.0)]
+        X0 = np.array([[1e-13], [3.0], [-1.0], [2.0]])
+        res, calls = solve_counted(per_row(*funs), X0, np.zeros(1))
+        assert list(res.row_status) == ["max_iters", "line_search_failed", FAILED_START,
+                                        "converged"]
+        alone = [solve_counted(per_row(fun), X0[i:i + 1], np.zeros(1))
+                 for i, fun in enumerate(funs)]
+        for i, (a, _) in enumerate(alone):
+            assert np.array_equal(a.x[0], res.x[i])
+            assert a.f[0] == res.f[i]
+            assert a.row_status[0] == res.row_status[i]
+        assert [a.iters for a, _ in alone] == [30, 27, 0, 1]
+        assert res.iters == 30
+        assert calls == max(n for _, n in alone)
 
     def test_barrier_respected(self):
         # the minimiser of (x + 1)^2 over x > 0 is on the box: every trial
