@@ -20,7 +20,7 @@ from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_dista
                   stft_magnitude, stft_power)
 from .errors import DataFormatError, NumericalError, PofError, ValidationError
 from .estep import FrameResult, dump_posteriors, infer_frames, status_counts
-from .features import add_deltas, median_smooth, mfcc, pofc, save_features_csv
+from .features import _pofc_of, add_deltas, median_smooth, mfcc, save_features_csv
 from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sample,
                     save_model, save_spectrogram)
 from .mstep import EmConfig, fit
@@ -194,20 +194,23 @@ def cmd_nmf_bwe(args) -> int:
 def cmd_features(args) -> int:
     cfg = ResolvedConfig(args)
     spec = load_spectrogram(args.input)
+    counts = ""
     if args.mfcc:
         feat = mfcc(spec, n_coeffs=cfg["n_mfcc"], n_mels=cfg["n_mels"])
     else:
         if not args.model:
             raise ValidationError("features needs -m MODEL or --mfcc")
         model = load_model(args.model)
-        feat = pofc(spec, model, seed=cfg["seed"])
+        results = infer_frames(spec, model, seed=cfg["seed"])
+        feat = _pofc_of(results)
+        counts = " " + status_counts(r.status for r in results)
     if args.deltas:
         feat = add_deltas(feat)
     if args.smooth:
         feat = median_smooth(feat, cfg["median_length"])
     save_features_csv(feat, args.output)
     _info(f"wrote {args.output} ({feat.data.shape[0]} features x "
-          f"{feat.data.shape[1]} frames)")
+          f"{feat.data.shape[1]} frames){counts}")
     return 0
 
 

@@ -58,10 +58,13 @@ def pofc(
     seed: int = 0,
 ) -> FeatureMatrix:
     """Posterior-mean activations E[a_t] as an L x T feature matrix."""
-    results = infer_frames(W, model, seed=seed)
+    return _pofc_of(infer_frames(W, model, seed=seed))
+
+
+def _pofc_of(results) -> FeatureMatrix:
+    """The PoFC features of frames already inferred, one column per frame."""
     data = np.column_stack([r.posterior.mean() for r in results])
-    labels = tuple(f"pofc{l}" for l in range(model.n_filters))
-    return FeatureMatrix(data, labels)
+    return FeatureMatrix(data, tuple(f"pofc{l}" for l in range(data.shape[0])))
 
 
 def hz_to_mel(f):

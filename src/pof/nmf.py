@@ -5,6 +5,11 @@ Itakura-Saito on power spectra. Both use the standard multiplicative
 update rules, which keep every entry non-negative and never increase the
 cost; iteration stops when the relative cost decrease drops below rel_tol
 (0.01% by default, matching the EM stopping rule).
+
+Each half-update forms the reconstruction R = max(V H, EPS) once, so an
+iteration of nmf_fit (V, then H) forms V H twice and one of nmf_encode (H
+alone) once; the cost of each iterate is read off the R that the next
+update starts from.
 """
 
 from __future__ import annotations
@@ -70,52 +75,66 @@ class NmfFit:
     cost_trace: list[float]
 
 
-def _kl_cost(W: np.ndarray, R: np.ndarray) -> float:
-    R = np.maximum(R, EPS)
-    wlog = np.where(W > 0, W * np.log(np.maximum(W, EPS) / R), 0.0)
-    return float(np.sum(wlog - W + R))
+def _reconstruct(V, H) -> np.ndarray:
+    """R = max(V H, EPS), the reconstruction every update and cost reads."""
+    R = V @ H
+    return np.maximum(R, EPS, out=R)
 
 
-def _is_cost(W: np.ndarray, R: np.ndarray) -> float:
+def _cost_of(W, divergence):
+    """The cost of an iterate as a function of its reconstruction R.
+
+    KL is sum(W log W - W) - <W, log R> + sum(R), with W log W = 0 where
+    W = 0; its first term does not depend on R and is summed here once.
+    IS is sum(r - log r - 1) over r = W / R, with W floored at EPS.
+    """
+    if divergence == "kl":
+        constant = float(np.sum(W * np.log(np.where(W > 0, W, 1.0)) - W))
+        return lambda R: constant - float(np.vdot(W, np.log(R))) + float(np.sum(R))
     W = np.maximum(W, EPS)
-    R = np.maximum(R, EPS)
-    ratio = W / R
-    return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+    def is_cost(R):
+        ratio = W / R
+        return float(np.sum(ratio) - np.sum(np.log(ratio))) - ratio.size
+    return is_cost
 
 
 def _cost(W, V, H, divergence) -> float:
-    R = V @ H
-    return _kl_cost(W, R) if divergence == "kl" else _is_cost(W, R)
+    return _cost_of(W, divergence)(_reconstruct(V, H))
 
 
-def _update_kl(W, V, H, update_v: bool):
+def _update_kl(W, V, H, R, update_v: bool):
     if update_v:
-        R = np.maximum(V @ H, EPS)
         V = V * ((W / R) @ H.T) / np.maximum(H.sum(axis=1), EPS)
-    R = np.maximum(V @ H, EPS)
+        R = _reconstruct(V, H)
     H = H * (V.T @ (W / R)) / np.maximum(V.sum(axis=0)[:, None], EPS)
     return V, H
 
-def _update_is(W, V, H, update_v: bool):
+
+def _update_is(W, V, H, R, update_v: bool):
     if update_v:
-        R = np.maximum(V @ H, EPS)
         V = V * ((R**-2 * W) @ H.T) / np.maximum(R**-1 @ H.T, EPS)
-    R = np.maximum(V @ H, EPS)
+        R = _reconstruct(V, H)
     H = H * (V.T @ (R**-2 * W)) / np.maximum(V.T @ R**-1, EPS)
     return V, H
 
 
 def _run_updates(W, V, H, divergence, rel_tol, max_iters, update_v):
+    """Multiplicative updates from (V, H) until the relative cost decrease
+    falls below rel_tol: (V, H, the cost of every iterate from the start).
+    Each iterate's reconstruction serves both its cost and the next update."""
     if not 0 < rel_tol < np.inf:
         raise ValidationError("rel_tol must be positive and finite")
     update = _update_kl if divergence == "kl" else _update_is
-    trace = [_cost(W, V, H, divergence)]
+    cost = _cost_of(W, divergence)
+    R = _reconstruct(V, H)
+    trace = [cost(R)]
     for _ in range(max_iters):
-        V, H = update(W, V, H, update_v)
-        cost = _cost(W, V, H, divergence)
+        V, H = update(W, V, H, R, update_v)
+        R = _reconstruct(V, H)
         prev = trace[-1]
-        trace.append(cost)
-        if prev - cost < rel_tol * abs(prev):
+        trace.append(cost(R))
+        if prev - trace[-1] < rel_tol * abs(prev):
             break
     return V, H, trace
 

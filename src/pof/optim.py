@@ -21,9 +21,9 @@ Otherwise it is the Newton step on C, scaled by its own diagonal, which is
 a descent direction wherever C is positive definite; where C has no
 Cholesky factor either, the step is not finite. A row whose C equals its H
 takes the C branch directly, as both give the same step. A stack is
-factored at once and, only if that fails, each matrix alone; so which rule
-a row gets, and every reduction, depends on that row only, and a row's
-result does not depend on the rows that share its stack.
+factored in one batched call that marks each matrix with no factor; so
+which rule a row gets, and every reduction, depends on that row only, and
+a row's result does not depend on the rows that share its stack.
 
 Step. Each row runs its own backtrack: its first trial is the full step,
 or _BARRIER_FRACTION of the way to the box when the full step would leave
@@ -49,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = ["OptimResult", "minimize", "chunks", "ZERO_PROGRESS", "FAILED_START"]
 
@@ -105,18 +106,12 @@ def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factors(m: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack m have a Cholesky factor. The whole stack
-    is tried at once; only if that fails is each matrix tried alone."""
-    def factors(a):
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    if m.shape[0] == 0 or factors(m):
-        return np.ones(m.shape[0], dtype=bool)
-    return np.array([factors(a) for a in m], dtype=bool)
+    """Which matrices of the stack m have a Cholesky factor. The stack is
+    factored in one call of the gufunc behind np.linalg.cholesky, which
+    leaves NaN in every matrix that has no factor instead of raising."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        lower = _umath_linalg.cholesky_lo(m, signature="d->d")
+    return ~np.isnan(lower).any(axis=(1, 2))
 
 
 def _directions(hess: np.ndarray, curv: np.ndarray, grad: np.ndarray) -> np.ndarray:

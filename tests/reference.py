@@ -5,7 +5,9 @@ the log of E[exp(-u a)] build the naive, term-by-term bound of
 conftest.elbo_oracle, which the package's batched bound is tested against.
 They call the package's special functions (specfn._gamma_fns), so the tests
 of these kernels test those too. infer_frame solves one frame through the
-E-step's chunk solver, and expected_log_spectrum is U a.
+E-step's chunk solver, and expected_log_spectrum is U a. nmf_run_updates is
+the NMF loop that forms V H afresh in each half-update and again for each
+cost, which pof.nmf._run_updates is tested against.
 
 All kernels broadcast over array-valued parameters; scalar inputs give
 scalar outputs.
@@ -19,6 +21,7 @@ import numpy as np
 
 from pof import FramePosterior, NumericalError, PoFModel, ValidationError
 from pof.estep import _check_frame, _solve
+from pof.nmf import EPS
 from pof.optim import FAILED_START
 from pof.specfn import _digamma, _gamma_fns, _maybe_scalar
 
@@ -109,3 +112,56 @@ def infer_frame(w, model: PoFModel, init: FramePosterior) -> tuple[FramePosterio
     if result.status == FAILED_START:
         raise NumericalError("initial posterior is infeasible for this model")
     return result.posterior, result.elbo
+
+
+def _nmf_kl_cost(W, R):
+    R = np.maximum(R, EPS)
+    wlog = np.where(W > 0, W * np.log(np.maximum(W, EPS) / R), 0.0)
+    return float(np.sum(wlog - W + R))
+
+
+def _nmf_is_cost(W, R):
+    W = np.maximum(W, EPS)
+    R = np.maximum(R, EPS)
+    ratio = W / R
+    return float(np.sum(ratio - np.log(ratio) - 1.0))
+
+
+def nmf_cost(W, V, H, divergence):
+    """KL or IS cost of the reconstruction V H of W, formed term by term."""
+    R = V @ H
+    return _nmf_kl_cost(W, R) if divergence == "kl" else _nmf_is_cost(W, R)
+
+
+def _nmf_update_kl(W, V, H, update_v):
+    if update_v:
+        R = np.maximum(V @ H, EPS)
+        V = V * ((W / R) @ H.T) / np.maximum(H.sum(axis=1), EPS)
+    R = np.maximum(V @ H, EPS)
+    H = H * (V.T @ (W / R)) / np.maximum(V.sum(axis=0)[:, None], EPS)
+    return V, H
+
+
+def _nmf_update_is(W, V, H, update_v):
+    if update_v:
+        R = np.maximum(V @ H, EPS)
+        V = V * ((R**-2 * W) @ H.T) / np.maximum(R**-1 @ H.T, EPS)
+    R = np.maximum(V @ H, EPS)
+    H = H * (V.T @ (R**-2 * W)) / np.maximum(V.T @ R**-1, EPS)
+    return V, H
+
+
+def nmf_run_updates(W, V, H, divergence, rel_tol, max_iters, update_v):
+    """The multiplicative updates and stopping rule of pof.nmf._run_updates,
+    with V H formed in every half-update and again for every cost:
+    (V, H, the cost of every iterate from the start)."""
+    update = _nmf_update_kl if divergence == "kl" else _nmf_update_is
+    trace = [nmf_cost(W, V, H, divergence)]
+    for _ in range(max_iters):
+        V, H = update(W, V, H, update_v)
+        cost = nmf_cost(W, V, H, divergence)
+        prev = trace[-1]
+        trace.append(cost)
+        if prev - cost < rel_tol * abs(prev):
+            break
+    return V, H, trace

@@ -247,6 +247,28 @@ def test_encode_and_bwe_log_frame_status_counts(rng, tmp_path, capsys, monkeypat
     assert (got["prior_mean"], got["zero_progress"], got["converged"]) == (1, 1, T - 1)
 
 
+def test_features_logs_frame_status_counts(rng, tmp_path, capsys):
+    # the PoFC path's stderr line ends with the counts of its frames by
+    # status; MFCCs infer no frames and count none
+    T = 5
+    model = PoFModel(rng.normal(0.0, 0.3, size=(F, 2)), np.ones(2), np.full(F, 2.0),
+                     ModelMeta(sample_rate=RATE, n_fft=N_FFT))
+    save_model(model, tmp_path / "model.json")
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, T)))
+    out = str(tmp_path / "feat.csv")
+    statuses = ("converged", "max_iters", "line_search_failed", "zero_progress",
+                "failed_start")
+    assert main(["features", spec, "-m", str(tmp_path / "model.json"), "-o", out]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"wrote {out} (2 features x {T} frames) ")
+    fields = dict(item.split("=", 1) for item in line.split() if "=" in item)
+    assert list(fields) == list(statuses)
+    assert int(fields["converged"]) == T and sum(int(v) for v in fields.values()) == T
+    assert main(["features", spec, "--mfcc", "-o", out]) == 0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.endswith(" frames)") and "=" not in line
+
+
 @pytest.mark.parametrize("command, rel_tol", [("train", "nan"), ("nmf-train", "-1")])
 def test_bad_rel_tol_is_exit_2(rng, tmp_path, capsys, command, rel_tol):
     spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))

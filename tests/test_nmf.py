@@ -7,7 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from pof import (BandMask, DataFormatError, NmfModel, Spectrogram, ValidationError,
                  load_nmf_model, nmf_encode, nmf_expand, nmf_fit, save_nmf_model)
-from pof.nmf import _cost
+from pof.nmf import _cost, _run_updates
+from reference import nmf_run_updates
 
 
 def spec_of(data, kind="magnitude"):
@@ -71,6 +72,38 @@ class TestNmfFit:
         model, fit = nmf_fit(spec_of(W), 4, "is", seed=1, max_iters=100)
         assert np.all(model.V >= 0)
         assert np.all(fit.H >= 0)
+
+
+class TestRunUpdates:
+    @pytest.mark.parametrize("update_v", [True, False])
+    @pytest.mark.parametrize("divergence", ["kl", "is"])
+    def test_matches_loop_that_reconstructs_for_every_cost(self, rng, divergence, update_v):
+        # the multiplicative updates are bitwise those of the reference loop,
+        # which forms V H afresh for every half-update and every cost; only
+        # the rounding of the cost differs
+        F, K, T = 24, 4, 60
+        W = rng.lognormal(sigma=1.0, size=(F, T))
+        W[rng.random((F, T)) < 0.2] = 0.0
+        W[:, 3] = 0.0
+        V0 = rng.uniform(0.1, 1.1, (F, K))
+        H0 = rng.uniform(0.1, 1.1, (K, T))
+        V, H, trace = _run_updates(W, V0.copy(), H0.copy(), divergence, 1e-6, 400,
+                                   update_v=update_v)
+        V_ref, H_ref, trace_ref = nmf_run_updates(W, V0.copy(), H0.copy(), divergence,
+                                                  1e-6, 400, update_v=update_v)
+        assert 10 < len(trace) < 401
+        assert len(trace) == len(trace_ref)
+        assert np.array_equal(V, V_ref) and np.array_equal(H, H_ref)
+        np.testing.assert_allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("divergence", ["kl", "is"])
+    def test_cost_is_the_loop_cost(self, rng, divergence):
+        W = rng.lognormal(size=(9, 11))
+        W[0] = 0.0
+        V = rng.uniform(0.1, 1.1, (9, 3))
+        H = rng.uniform(0.1, 1.1, (3, 11))
+        _, _, trace = _run_updates(W, V, H, divergence, 1e-4, 0, update_v=True)
+        assert trace == [_cost(W, V, H, divergence)]
 
 
 class TestNmfEncode:

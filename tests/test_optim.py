@@ -360,3 +360,38 @@ class TestMinimize:
         res = minimize(rowwise(mixed), X0, free(2))
         assert list(res.row_status) == [ZERO_PROGRESS, "converged"]
         assert np.array_equal(res.x[0], X0[0])
+
+
+class TestFactors:
+    def test_marks_the_matrices_that_numpy_cholesky_factors(self):
+        # one batched call gives, for each matrix, the verdict of
+        # np.linalg.cholesky on that matrix alone
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(4, 4))
+        pd = a @ a.T + 0.1 * np.eye(4)
+        indefinite = pd - 2.0 * np.diag(np.diagonal(pd))
+        singular = np.ones((4, 4))
+        huge = np.eye(4)
+        huge[0, 1] = huge[1, 0] = 1e200
+        not_finite = pd.copy()
+        not_finite[2, 3] = not_finite[3, 2] = math.inf
+        nan = pd.copy()
+        nan[0, 0] = math.nan
+        raw = np.stack([pd, indefinite, np.zeros((4, 4)), singular, huge, not_finite, nan,
+                        2.0 * pd])
+        # _jacobi zeroes the matrices that are not finite
+        scaled, _ = optim._jacobi(raw)
+        assert not np.any(scaled[5:7])
+
+        def factors_alone(m):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                return False
+            return True
+
+        for stack in (raw[:5], scaled):
+            expected = [factors_alone(m) for m in stack]
+            assert list(optim._factors(stack)) == expected
+        assert list(optim._factors(scaled)) == [True] + [False] * 6 + [True]
+        assert optim._factors(scaled[:0]).shape == (0,)
