@@ -24,17 +24,22 @@ _Frames.bound evaluates L, its gradient g, H and C in (nu, rho) in one
 latter turned into B = U / (rho + U) in place. Every sum over f is a matrix
 product on it: S, the f-sums behind g, and the Gram term, from the buffer
 scaled by sqrt(c) in place. Per frame it holds 2 F L floats, and forming B
-takes F L more for a moment; _solve sizes its chunks from that footprint.
+takes F L more for a moment; _solve gives minimize the bytes of a frame in
+flight, this buffer or the (2L, 2L) stacks of its direction, whichever is
+more, and so bounds how many frames are in flight at once.
 
-Frames are independent. infer_frames solves the frames of a chunk together
-with the batched damped Newton of pof.optim.minimize in the log coordinates
-y = (log nu, log rho), where the box nu > 0, rho > rho_min with
-rho_min = max(0, -min_f U_fl) is the box y_rho > log rho_min. Converged nu
-spans 0.7 to 1,740 on the benchmark's frames from starts near 1, and a
-Newton step in plain nu grows a scale only geometrically (the reason
-mstep._solve_shape takes its Newton steps on 1/x); in y a frame from the
-default start takes about 11 iterations instead of 18. With x = exp(y) and
-X = diag(x) the solver sees -L(exp y) with
+Frames are independent. infer_frames solves all frames of the spectrogram
+in one call of the batched damped Newton of pof.optim.minimize, which keeps
+a working set of frames in flight and gives the slot of a frame that ends
+to the next one; its evaluations are _Frames.objective on the frames in
+flight. It solves in the log coordinates y = (log nu, log rho), where the
+box nu > 0, rho > rho_min with rho_min = max(0, -min_f U_fl) is the box
+y_rho > log rho_min. Converged nu spans 0.7 to 1,740 on the benchmark's
+frames from starts near 1, and a Newton step in plain nu grows a scale only
+geometrically (the reason mstep._solve_shape takes its Newton steps on
+1/x); in y a frame from the default start takes about 11 iterations
+instead of 18. With x = exp(y) and X = diag(x) the solver sees -L(exp y)
+with
 
     g_y = x * g,   H_y = X H X + diag(g_y),   C_y = X C X + diag(max(g_y, 0)),
 
@@ -47,10 +52,10 @@ exp(log x0), which equals its start's to rounding. Each frame is solved to
 round-off and keeps the status its solve ended with; a frame that reports
 "zero_progress" still holds its start, not an inferred posterior. Every
 reduction over a frame's terms, matrix products included, stays within
-that frame, and each frame runs its own line search, one bound evaluation
-serving every frame of the chunk still solving; so a frame's result does
-not depend on the frames that share its chunk. The default start lies at
-least rho_min inside the barrier (default_posterior_init).
+that frame, and each frame runs its own line search; so a frame's result
+does not depend on the frames that share its evaluations, nor on when it
+enters the working set. The default start lies at least rho_min inside the
+barrier (default_posterior_init).
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import FramePosterior, PoFModel, check_spectrum
-from .optim import FAILED_START, ZERO_PROGRESS, chunks, minimize
+from .optim import FAILED_START, ZERO_PROGRESS, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
 __all__ = [
@@ -145,30 +150,30 @@ class _Frames:
         rho_min = np.maximum(0.0, -model.U.min(axis=0))
         self.lower = np.concatenate((np.zeros_like(rho_min), rho_min))
 
-    def bound(self, x: np.ndarray, derivs: int = 0):
-        """L at each row (nu, rho) of x (n, 2L) and, with derivs=1, its
-        gradient (n, 2L); with derivs=2 also H and C (n, 2L, 2L), the Hessian
-        of -L and its stand-in (see the module docstring). What derivs does
-        not ask for is None. A row outside the box nu > 0, rho > rho_min,
-        or whose bound, gradient or H is not finite, has bound -inf and NaN
-        derivatives.
+    def bound(self, x: np.ndarray, derivs: int = 0, rows=slice(None)):
+        """L at each row (nu, rho) of x (m, 2L), for the frames rows (all by
+        default), and, with derivs=1, its gradient (m, 2L); with derivs=2
+        also H and C (m, 2L, 2L), the Hessian of -L and its stand-in (see
+        the module docstring). What derivs does not ask for is None. A row
+        outside the box nu > 0, rho > rho_min, or whose bound, gradient or H
+        is not finite, has bound -inf and NaN derivatives.
         """
-        n, (L, F) = x.shape[0], self.UT.shape
-        ok = np.flatnonzero(np.all(x > self.lower, axis=1))
+        L, F = self.UT.shape
         alpha, gu = self.alpha, self.gu
-        nu, rho = x[ok, :L], x[ok, L:]
+        nu, rho = x[:, :L], x[:, L:]
+        g = h = gram = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # log1p(r) over r = U^T / rho, filter-major: passes run along f
-            jac = np.empty((ok.size, 2 * L, F))
+            jac = np.empty((len(x), 2 * L, F))
             r = np.divide(self.UT, rho[:, :, None], out=jac[:, L:])
             np.log1p(r, out=jac[:, :L])
             # c_f = gamma_f w_f exp(S_f), S_f = -sum_l nu_l log1p(U_fl / rho_l)
-            c = self.gw[ok] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
+            c = self.gw[rows] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
             ea = nu / rho
             _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
-            v = (self.const[ok] - (gu * ea).sum(axis=1) - c.sum(axis=1)
+            v = (self.const[rows] - (gu * ea).sum(axis=1) - c.sum(axis=1)
                  + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
-            good = np.isfinite(v)
+            good = np.all(x > self.lower, axis=1) & np.isfinite(v)
             if derivs:
                 np.divide(r, r + 1.0, out=r)                  # B = U / (rho + U)
                 # dS / d(nu, rho) = (-log1p(r), ea B): g needs sum_f c log1p(r), c B
@@ -199,24 +204,22 @@ class _Frames:
                     m[:, j, i] += b_nr
                     m[:, j, j] += b_rr
                 good &= np.all(np.isfinite(h), axis=(1, 2))
+        if not good.all():
+            v[~good] = -math.inf
+            for a in (g, h, gram):
+                if a is not None:
+                    a[~good] = math.nan
+        return v, g, h, gram
 
-        def rows(a, fill=math.nan):
-            if good.all() and ok.size == n:
-                return a
-            out = np.full((n,) + a.shape[1:], fill)
-            out[ok[good]] = a[good]
-            return out
-
-        return (rows(v, -math.inf), rows(g) if derivs else None,
-                rows(h) if derivs == 2 else None, rows(gram) if derivs == 2 else None)
-
-    def objective(self, y: np.ndarray):
-        """-L at x = exp(y), y = (log nu, log rho), with its gradient, Hessian
-        and stand-in in y (see the module docstring): the function minimize
-        solves. A row whose H_y is not finite has value +inf."""
+    def objective(self, batch):
+        """-L at x = exp(y) for the frames rows, batch = (rows, y) with y =
+        (log nu, log rho), with its gradient, Hessian and stand-in in y (see
+        the module docstring): the function minimize solves. A row whose H_y
+        is not finite has value +inf."""
+        rows, y = batch
         with np.errstate(over="ignore"):
             x = np.exp(y)
-        value, grad, hess, curv = self.bound(x, derivs=2)
+        value, grad, hess, curv = self.bound(x, 2, rows)
         i = np.arange(y.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             g = -x * grad
@@ -283,33 +286,31 @@ def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePoste
 
 def _solve(data: np.ndarray, model: PoFModel,
            starts: list[FramePosterior]) -> list[FrameResult]:
-    """Infer every column of data (F, T) from its start, one minimize call
-    per chunk of frames."""
+    """Infer every column of data (F, T) from its start, in one minimize
+    call."""
     F, L = model.U.shape
     if any(p.nu.size != L for p in starts):
         raise ValidationError(f"initial posteriors must have L={L} entries")
     x0 = np.array([np.concatenate((p.nu, p.rho)) for p in starts])
     y0 = np.log(x0)
-    results = []
-    # a solve's peak per frame, measured with tracemalloc at L=5 to 50 and
-    # F=48 to 1025, counts its F L and its L^2 parts apart: the bound's buffer,
-    # the temporary of B and a few F-vectors beside five (2L, 2L) stacks, or
-    # eleven such stacks while minimize picks its directions, whichever is
-    # more, plus about 4 kB of rows and results (at L=20 it is 124 to 130 kB
-    # per frame at F=129, 122 to 123 kB at F=48)
+    frames = _Frames(np.ascontiguousarray(data.T), model)
+    with np.errstate(divide="ignore"):
+        lower = np.log(frames.lower)
+    # the peak of a solve per frame in flight, measured with tracemalloc at
+    # L=5 to 50 and F=48 to 513, counts its F L and its L^2 parts apart: the
+    # bound's buffer, the temporary of B and a few F-vectors beside about
+    # four (2L, 2L) stacks, or nine such stacks while minimize picks the
+    # directions of an evaluation's rows, whichever is more, plus about 4 kB
+    # of rows and results (at L=20 it is 113 kB per frame at F=129 and
+    # 110 kB at F=48, against the 119 kB asked for)
     s = 4 * L * L
-    for idx in chunks(np.arange(data.shape[1]), 8 * max(3 * F * L + 5 * F + 5 * s, 11 * s) + 4096):
-        frames = _Frames(np.ascontiguousarray(data[:, idx].T), model)
-        with np.errstate(divide="ignore"):
-            lower = np.log(frames.lower)
-        res = minimize(frames.objective, y0[idx], lower)
-        # a row that never moved keeps its start bitwise, not exp(log x0);
-        # a row that moved has a finite bound at exp(y), so exp(y) is finite
-        kept = np.all(res.x == y0[idx], axis=1)
-        xs = np.where(kept[:, None], x0[idx], np.exp(res.x))
-        results += [FrameResult(FramePosterior(x[:L], x[L:]), float(-f), str(status))
-                    for x, f, status in zip(xs, res.f, res.row_status)]
-    return results
+    res = minimize(frames.objective, y0, lower, 8 * max(3 * F * L + 5 * F + 4 * s, 9 * s) + 4096)
+    # a row that never moved keeps its start bitwise, not exp(log x0);
+    # a row that moved has a finite bound at exp(y), so exp(y) is finite
+    kept = np.all(res.x == y0, axis=1)
+    xs = np.where(kept[:, None], x0, np.exp(res.x))
+    return [FrameResult(FramePosterior(x[:L], x[L:]), float(-f), str(status))
+            for x, f, status in zip(xs, res.f, res.row_status)]
 
 
 def infer_frames(
@@ -325,8 +326,8 @@ def infer_frames(
     Observations are floored on entry. Frame t starts from init[t], or from
     default_posterior_init(model, seed, t). A frame whose start is
     infeasible keeps it, with bound -inf and status FAILED_START. threads
-    is accepted and ignored: all frames of a chunk are solved as one
-    batched array in one thread. It remains for callers written for the
+    is accepted and ignored: the frames are solved as one batched working
+    set in one thread. It remains for callers written for the
     former thread-pool E-step, such as the benchmark, until they drop it.
     """
     data = floor_observations(W)
@@ -351,12 +352,12 @@ def dump_posteriors(results: list[FrameResult], path) -> None:
     doc = [
         {
             "frame": t,
-            "nu": [float(v) for v in r.posterior.nu],
-            "rho": [float(v) for v in r.posterior.rho],
+            "nu": r.posterior.nu.tolist(),
+            "rho": r.posterior.rho.tolist(),
             "elbo": float(r.elbo) if math.isfinite(r.elbo) else None,
         }
         for t, r in enumerate(results)
     ]
+    # json.dumps encodes in C; json.dump streams through the pure-Python encoder
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, allow_nan=False) + "\n")

@@ -14,12 +14,12 @@ time:
     g_lt = nu_lt / r_lt and E_ft = w_ft exp(S_ft):
         grad phi_f = sum_t E[a_t] - sum_t E_ft g_t,
         hess phi_f = sum_t E_ft (g_t g_t' + diag(nu_t / r_t^2)),
-    which is positive definite whenever some E_ft > 0. The rows of a chunk
-    are solved together by pof.optim.minimize, the damped Newton the
-    E-step uses too; on this positive-definite Hessian its step is the
-    plain Newton step (Boyd & Vandenberghe, Convex Optimization, 9.5). The
-    box u > -min_t rho_t keeps every stored posterior feasible, which is
-    what makes the next E-step's warm start safe.
+    which is positive definite whenever some E_ft > 0. The rows are solved
+    together by pof.optim.minimize, the damped Newton the E-step uses too;
+    on this positive-definite Hessian its step is the plain Newton step
+    (Boyd & Vandenberghe, Convex Optimization, 9.5). The box
+    u > -min_t rho_t keeps every stored posterior feasible, which is what
+    makes the next E-step's warm start safe.
   * alpha, then gamma, in closed form up to a 1-D equation: each entry
     solves log x - psi(x) = c for its own constant c, by Minka's
     generalised Newton iteration ("Estimating a Gamma distribution", 2002).
@@ -39,7 +39,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -123,10 +122,10 @@ def _alpha_c(stats: SufficientStats) -> np.ndarray:
     return (stats.expect_a.sum(axis=1) - stats.expect_log_a.sum(axis=1)) / T - 1.0
 
 
-def _row_chunks(rows: np.ndarray, stats: SufficientStats) -> list[np.ndarray]:
-    """rows split into the stacks minimize solves together: a solve holds
-    about four (L, T) float blocks per row (measured at L=20, T=64)."""
-    return chunks(rows, 4 * 8 * stats.expect_a.size)
+def _row_bytes(stats: SufficientStats) -> int:
+    """The temporaries of one U row's evaluation and direction: about four
+    (L, T) float blocks (measured at L=20, T=64)."""
+    return 4 * 8 * stats.expect_a.size
 
 
 def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray | None:
@@ -139,7 +138,7 @@ def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray
         return None
     sum_ea = stats.expect_a.sum(axis=1)
     phi = np.empty(U.shape[0])
-    for idx in _row_chunks(np.arange(U.shape[0]), stats):
+    for idx in chunks(np.arange(U.shape[0]), _row_bytes(stats)):
         phi[idx] = _u_rows_phi(U[idx], W[idx], stats, sum_ea)
     return (phi - np.log(W).sum(axis=1)) / W.shape[1] - 1.0
 
@@ -170,42 +169,36 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
 
     u is (n, L) and w the matching (n, T) rows of W; phi_f = -Q_f / gamma_f,
     where Q_f is the part of Q that depends on row f. Returns phi (n,), inf
-    for a row that is infeasible for the stored posteriors (a row holding a
-    NaN counts as infeasible and costs nothing) or whose reconstruction
-    overflows. With derivs, also returns the gradient (n, L) and the Hessian
-    (n, L, L), both NaN for a row that is infeasible, and the Hessian again:
-    it is positive semidefinite, so it is its own convex stand-in C for
-    minimize.
+    for a row that is infeasible for the stored posteriors or whose
+    reconstruction overflows. With derivs, also returns the gradient (n, L)
+    and the Hessian (n, L, L), both NaN for a row that is infeasible, and
+    the Hessian again: it is positive semidefinite, so it is its own convex
+    stand-in C for minimize.
     """
-    n, L = u.shape
-    phi = np.full(n, math.inf)
+    L = u.shape[1]
     ok = np.all(u > -stats.rho.min(axis=1), axis=1)
-    if derivs:
-        grad = np.full((n, L), math.nan)
-        hess = np.full((n, L, L), math.nan)
-    if ok.any():
-        u_ok = u[ok]
-        ratio = u_ok[:, :, None] / stats.rho                  # (m, L, T)
-        # a row within rounding of the barrier can still reach log1p(-1)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            S = -np.einsum("lt,mlt->mt", stats.nu, np.log1p(ratio))
-            recon = w[ok] * np.exp(S)                          # (m, T)
-            phi[ok] = u_ok @ sum_ea + recon.sum(axis=1)
-            if derivs:
-                # g_lt = nu_lt / (rho_lt + u_l) = E[a_lt] / (1 + ratio_lt)
-                ratio += 1.0
-                g = np.divide(stats.expect_a, ratio, out=ratio)
-                eg = recon[:, None, :] * g
-                grad[ok] = sum_ea - eg.sum(axis=2)
-                h = eg @ g.transpose(0, 2, 1)
-                # + diag(sum_t E_ft nu_lt / r_lt^2) = diag(sum_t E_ft g_lt^2 / nu_lt)
-                g *= g
-                g /= stats.nu
-                diag = np.einsum("mlt,mt->ml", g, recon)
-                h[:, np.arange(L), np.arange(L)] += diag
-                hess[ok] = h
-    phi[~np.isfinite(phi)] = math.inf
-    return (phi, grad, hess, hess) if derivs else phi
+    # a row within rounding of the barrier can still reach log1p(-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = u[:, :, None] / stats.rho                     # (n, L, T)
+        S = -np.einsum("lt,mlt->mt", stats.nu, np.log1p(ratio))
+        recon = w * np.exp(S)                                  # (n, T)
+        phi = u @ sum_ea + recon.sum(axis=1)
+        if derivs:
+            # g_lt = nu_lt / (rho_lt + u_l) = E[a_lt] / (1 + ratio_lt)
+            ratio += 1.0
+            g = np.divide(stats.expect_a, ratio, out=ratio)
+            eg = recon[:, None, :] * g
+            grad = sum_ea - eg.sum(axis=2)
+            hess = eg @ g.transpose(0, 2, 1)
+            # + diag(sum_t E_ft nu_lt / r_lt^2) = diag(sum_t E_ft g_lt^2 / nu_lt)
+            g *= g
+            g /= stats.nu
+            hess[:, np.arange(L), np.arange(L)] += np.einsum("mlt,mt->ml", g, recon)
+    phi[~(ok & np.isfinite(phi))] = math.inf
+    if not derivs:
+        return phi
+    grad[~ok], hess[~ok] = math.nan, math.nan
+    return phi, grad, hess, hess
 
 
 def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
@@ -287,20 +280,24 @@ def mstep(
 ) -> PoFModel:
     """One full M-step; never decreases Q.
 
-    U: every row not in frozen_rows is solved to round-off by minimize, in
-    chunks of rows (_row_chunks). alpha, then gamma: each entry solves
-    its 1-D stationarity equation (_solve_shape). Rows in frozen_rows keep
-    their U and gamma values (used for all-silent frequency bins).
+    U: every row not in frozen_rows is solved to round-off in one minimize
+    call. alpha, then gamma: each entry solves its 1-D stationarity
+    equation (_solve_shape). Rows in frozen_rows keep their U and gamma
+    values (used for all-silent frequency bins).
     """
     W = _observed(W, model, stats)
 
     sum_ea = stats.expect_a.sum(axis=1)
     lower = -stats.rho.min(axis=1)
     rows = np.array([f for f in range(W.shape[0]) if f not in frozen_rows], dtype=int)
+    w = W[rows]
+
+    def phi(batch):
+        idx, u = batch
+        return _u_rows_phi(u, w[idx], stats, sum_ea, derivs=True)
+
     U_new = model.U.copy()
-    for idx in _row_chunks(rows, stats):
-        phi = partial(_u_rows_phi, w=W[idx], stats=stats, sum_ea=sum_ea, derivs=True)
-        U_new[idx] = minimize(phi, model.U[idx], lower).x
+    U_new[rows] = minimize(phi, model.U[rows], lower, _row_bytes(stats)).x
 
     alpha_new = _update_shape(model.alpha, _alpha_c(stats))
 

@@ -112,10 +112,13 @@ def _update_kl(W, V, H, R, update_v: bool):
 
 
 def _update_is(W, V, H, R, update_v: bool):
+    # R^-2 as the square of R^-1: numpy's general power is five times slower
     if update_v:
-        V = V * ((R**-2 * W) @ H.T) / np.maximum(R**-1 @ H.T, EPS)
+        inv = 1.0 / R
+        V = V * ((inv * inv * W) @ H.T) / np.maximum(inv @ H.T, EPS)
         R = _reconstruct(V, H)
-    H = H * (V.T @ (R**-2 * W)) / np.maximum(V.T @ R**-1, EPS)
+    inv = 1.0 / R
+    H = H * (V.T @ (inv * inv * W)) / np.maximum(V.T @ inv, EPS)
     return V, H
 
 

@@ -1,35 +1,45 @@
 """Batched damped Newton for stacks of independent smooth problems.
 
-minimize(phi, X0, lower) minimises n independent functions at once, one
-per row x of the (n, d) array X0, each subject to the box x > lower. Both
-EM steps use it: the E-step for the frames of a chunk in
-y = (log nu, log rho), the M-step for rows of U.
+minimize(phi, X0, lower, row_bytes) minimises n independent functions at
+once, one per row x of the (n, d) array X0, each subject to the box
+x > lower. Both EM steps use it: the E-step for the frames of a
+spectrogram in y = (log nu, log rho), the M-step for the rows of U.
 
-phi(X) takes an (n, d) stack and returns each row's value (n,), gradient
-(n, d), Hessian H (n, d, d) and a positive-semidefinite stand-in C for H
-(n, d, d). A row that is infeasible, or whose value or derivatives are not
-finite, has value +inf. Rows that are not being evaluated are passed as
-NaN and must come back as +inf. A phi whose H is positive semidefinite
-everywhere returns H itself as C. A row needs a finite Hessian: where a
-finite value comes with an H that is not finite (1/x**2 overflows at
-x = 1e-200), the row gets no finite step, and it ends ZERO_PROGRESS at its
-start, or line_search_failed after earlier progress.
+Working set. At most width = max(1, _CHUNK_BYTES // row_bytes) rows are in
+flight, row_bytes being the temporaries one row's evaluation and direction
+hold; the other rows wait in a queue, in row order. When a row ends, its
+slot goes to the next queued row, whose start is evaluated in the same phi
+call as the trials of the rows still solving. So a slow row holds up no
+other, and the rows in flight, not n, set the memory a solve needs.
 
-Direction. Each row's Hessian is Jacobi-scaled, D = 1/sqrt(|diag H|).
-Where D H D has a Cholesky factor the step is the Newton step on H.
-Otherwise it is the Newton step on C, scaled by its own diagonal, which is
-a descent direction wherever C is positive definite; where C has no
-Cholesky factor either, the step is not finite. A row whose C equals its H
-takes the C branch directly, as both give the same step. A stack is
-factored in one batched call that marks each matrix with no factor; so
-which rule a row gets, and every reduction, depends on that row only, and
-a row's result does not depend on the rows that share its stack.
+phi takes one argument, the pair (rows, X): the indices (m,) of the rows
+to evaluate and their points X (m, d). It returns for exactly those rows
+the value (m,), gradient (m, d), Hessian H (m, d, d) and a
+positive-semidefinite stand-in C for H (m, d, d). A row that is
+infeasible, or whose value or derivatives are not finite, has value +inf,
+and its derivatives are not read. A phi whose H is positive semidefinite
+everywhere returns the H array itself as C. A row needs a finite Hessian:
+where a finite value comes with an H that is not finite (1/x**2 overflows
+at x = 1e-200), the row gets no finite step, and it ends ZERO_PROGRESS at
+its start, or line_search_failed after earlier progress.
+
+Direction. Each row's direction is found from the evaluation that produced
+its point; no H, C or gradient is kept beyond it. Each row's Hessian is
+Jacobi-scaled, D = 1/sqrt(|diag H|). Where D H D has a Cholesky factor the
+step is the Newton step on H. Otherwise it is the Newton step on C, scaled
+by its own diagonal, which is a descent direction wherever C is positive
+definite; where C has no Cholesky factor either, the step is not finite.
+Where phi returns H itself as C, a row whose H has no factor is not
+factored again. A stack is factored in one batched call that marks each
+matrix with no factor; so which rule a row gets, and every reduction,
+depends on that row only, and a row's result does not depend on the rows
+that share its evaluations.
 
 Step. Each row runs its own backtrack: its first trial is the full step,
 or _BARRIER_FRACTION of the way to the box when the full step would leave
 it, halved until the trial satisfies Armijo and strictly lowers the value.
-Each phi call after the first evaluates every row still solving at its
-trial, and an accepted trial's derivatives serve that row's next step.
+Each phi call evaluates every row in flight at its trial, and an accepted
+trial's derivatives give that row's next step.
 
 Each row ends with one status (row_status):
   converged           the Newton decrement |g.d| fell below the rounding of
@@ -67,8 +77,8 @@ _ARMIJO_C1 = 1e-4
 # way to it.
 _BARRIER_FRACTION = 0.99
 _EPS = np.finfo(float).eps
-# Rows per stack are chosen so that the temporaries of one solve stay within
-# this many bytes (at least one row per stack).
+# Rows in flight, and rows per evaluated stack, are chosen so that their
+# temporaries stay within this many bytes (at least one row).
 _CHUNK_BYTES = 4 << 20
 
 
@@ -86,10 +96,16 @@ class OptimResult:
     row_status: np.ndarray
 
 
+def _width(row_bytes: int) -> int:
+    """How many rows that hold row_bytes each fit in _CHUNK_BYTES (at least
+    one)."""
+    return max(1, _CHUNK_BYTES // row_bytes)
+
+
 def chunks(items: np.ndarray, item_bytes: int) -> list[np.ndarray]:
-    """items split into stacks whose solves, holding item_bytes of
+    """items split into stacks whose evaluations, holding item_bytes of
     temporaries per item, stay within _CHUNK_BYTES."""
-    n = max(1, _CHUNK_BYTES // item_bytes)
+    n = _width(item_bytes)
     return [items[i:i + n] for i in range(0, items.size, n)]
 
 
@@ -106,81 +122,90 @@ def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factors(m: np.ndarray) -> np.ndarray:
-    """Which matrices of the stack m have a Cholesky factor. The stack is
-    factored in one call of the gufunc behind np.linalg.cholesky, which
-    leaves NaN in every matrix that has no factor instead of raising."""
+    """Which matrices of the finite stack m have a Cholesky factor. The
+    stack is factored in one call of the gufunc behind np.linalg.cholesky,
+    which, instead of raising, leaves an all-NaN matrix where a factor does
+    not exist; so one entry of each factor tells."""
     with np.errstate(invalid="ignore", over="ignore"):
         lower = _umath_linalg.cholesky_lo(m, signature="d->d")
-    return ~np.isnan(lower).any(axis=(1, 2))
+    return ~np.isnan(lower[:, 0, 0])
 
 
 def _directions(hess: np.ndarray, curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The Newton step of each row on its H where the scaled H has a
     Cholesky factor, else on its C; not finite where neither has one."""
-    # a row whose C is its H goes straight to the C test: both rules agree
-    exact = ~np.all(hess == curv, axis=(1, 2))
     m, scale = _jacobi(hess)
-    ok = np.zeros(exact.shape, dtype=bool)
-    ok[exact] = _factors(m[exact])
-    fall_back = exact & ~ok
-    m[fall_back], scale[fall_back] = _jacobi(curv[fall_back])
-    ok[~ok] = _factors(m[~ok])
+    ok = _factors(m)
+    if curv is not hess:
+        m[~ok], scale[~ok] = _jacobi(curv[~ok])
+        ok[~ok] = _factors(m[~ok])
     step = np.full_like(grad, math.nan)
     step[ok] = np.linalg.solve(m[ok], (scale * grad)[ok, :, None])[:, :, 0]
     return -scale * step
 
 
-def minimize(phi, X0, lower) -> OptimResult:
-    """Minimise each row of X0 over x > lower by damped Newton (see the
-    module docstring). The benchmark's traced runs count evaluations and
-    time the solves by wrapping this function as pof.estep.minimize and
-    pof.mstep.minimize."""
+def minimize(phi, X0, lower, row_bytes: int = 1) -> OptimResult:
+    """Minimise each row of X0 over x > lower by damped Newton, with at most
+    _width(row_bytes) rows in flight (see the module docstring); the
+    default row_bytes of 1 lets up to _CHUNK_BYTES rows in. The benchmark's
+    traced runs count evaluations and time the solves by wrapping this
+    function as pof.estep.minimize and pof.mstep.minimize, and phi as a
+    one-argument callable."""
     x = np.array(X0, dtype=float)
-    f, grad, hess, curv = phi(x)
-    status = np.full(len(f), "converged", dtype=object)
-    active = np.isfinite(f)
-    status[~active] = FAILED_START
+    n, width = len(x), _width(row_bytes)
+    f = np.full(n, math.inf)
+    status = np.full(n, "converged", dtype=object)
     # per row: moved from its start, step, slope g.d, trial fraction t,
-    # iterations and halvings; new holds the rows at a point not yet stepped
-    moved, new = np.zeros_like(active), np.flatnonzero(active)
-    step, slope, t = np.zeros_like(x), np.zeros_like(f), np.zeros_like(f)
-    iters, halvings = np.zeros(len(f), dtype=int), np.zeros(len(f), dtype=int)
+    # iterations and halvings; rows holds the rows in flight
+    moved = np.zeros(n, dtype=bool)
+    step, slope, t = np.zeros_like(x), np.zeros(n), np.zeros(n)
+    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    rows, queued = np.zeros(0, dtype=int), 0
     while True:
+        # the rows in flight try their trials; free slots take queued starts
+        starts = np.arange(queued, min(n, queued + width - rows.size))
+        queued += starts.size
+        if rows.size + starts.size == 0:
+            break
+        batch = np.concatenate((rows, starts))
+        points = np.concatenate((x[rows] + t[rows, None] * step[rows], x[starts]))
+        f_b, grad, hess, curv = phi((batch, points))
+        k = rows.size
+        ok = (f_b[:k] < f[rows]) & (f_b[:k] <= f[rows] + _ARMIJO_C1 * t[rows] * slope[rows])
+        rej = rows[~ok]
+        t[rej] *= 0.5
+        halvings[rej] += 1
+        moved[rows[ok]] = True
+        feasible = np.isfinite(f_b[k:])
+        status[starts[~feasible]] = FAILED_START
+        # the rows at a new point, accepted trials and feasible starts, take
+        # their directions from this evaluation
+        at = np.concatenate((np.flatnonzero(ok), k + np.flatnonzero(feasible)))
+        new = batch[at]
         if new.size:
-            step[new] = _directions(hess[new], curv[new], grad[new])
-            slope[new] = (grad[new] * step[new]).sum(axis=1)
+            x[new], f[new] = points[at], f_b[at]
+            hess_at = hess[at]
+            step[new] = _directions(hess_at, hess_at if curv is hess else curv[at], grad[at])
+            slope[new] = (grad[at] * step[new]).sum(axis=1)
             # a Newton decrement below the rounding of f: converged
-            active[new[np.abs(slope[new]) <= _EPS * np.abs(f[new])]] = False
-            capped = new[active[new] & (iters[new] == _MAX_ITERS)]
-            status[capped], active[capped] = "max_iters", False
-            new = new[active[new]]
+            going = ~(np.abs(slope[new]) <= _EPS * np.abs(f[new]))
+            capped = new[going & (iters[new] == _MAX_ITERS)]
+            status[capped] = "max_iters"
+            new = new[going & (iters[new] < _MAX_ITERS)]
             iters[new] += 1
             halvings[new] = 0
             # the largest fraction of each step that keeps x > lower
             with np.errstate(divide="ignore", invalid="ignore"):
                 room = np.where(step[new] < 0, (x[new] - lower) / -step[new], math.inf).min(axis=1)
             t[new] = np.minimum(1.0, _BARRIER_FRACTION * room)
-        rows = np.flatnonzero(active)
+        rows = np.concatenate((rej, new))
         stuck = ~np.isfinite(slope[rows]) | (halvings[rows] == _MAX_HALVINGS)
         # a predicted decrease below the rounding of f ends the row:
         # converged if it has moved, at its start if it has not
         low = ~stuck & (t[rows] * np.abs(slope[rows]) <= _EPS * np.abs(f[rows]))
-        active[rows[low | stuck]] = False
         ended = rows[stuck | (low & ~moved[rows])]
         status[ended] = np.where(moved[ended], "line_search_failed", ZERO_PROGRESS)
-        rows = rows[active[rows]]
-        if rows.size == 0:
-            break
-        trial = np.full_like(x, math.nan)
-        trial[rows] = x[rows] + t[rows, None] * step[rows]
-        f_t, grad_t, hess_t, curv_t = phi(trial)
-        ok = (f_t[rows] < f[rows]) & (f_t[rows] <= f[rows] + _ARMIJO_C1 * t[rows] * slope[rows])
-        new, rej = rows[ok], rows[~ok]
-        x[new], f[new] = trial[new], f_t[new]
-        grad[new], hess[new], curv[new] = grad_t[new], hess_t[new], curv_t[new]
-        moved[new] = True
-        t[rej] *= 0.5
-        halvings[rej] += 1
+        rows = rows[~(low | stuck)]
 
     not_converged = np.flatnonzero(status != "converged")
     summary = status[not_converged[0]] if not_converged.size else "converged"

@@ -144,10 +144,10 @@ def _nmf_update_kl(W, V, H, update_v):
 
 def _nmf_update_is(W, V, H, update_v):
     if update_v:
-        R = np.maximum(V @ H, EPS)
-        V = V * ((R**-2 * W) @ H.T) / np.maximum(R**-1 @ H.T, EPS)
-    R = np.maximum(V @ H, EPS)
-    H = H * (V.T @ (R**-2 * W)) / np.maximum(V.T @ R**-1, EPS)
+        inv = 1.0 / np.maximum(V @ H, EPS)
+        V = V * ((inv * inv * W) @ H.T) / np.maximum(inv @ H.T, EPS)
+    inv = 1.0 / np.maximum(V @ H, EPS)
+    H = H * (V.T @ (inv * inv * W)) / np.maximum(V.T @ inv, EPS)
     return V, H
 
 

@@ -14,12 +14,14 @@ import scipy.optimize
 
 from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
                  band_mask, elbo, elbo_grad, restrict_model, sample)
-from pof.estep import (_Frames, _abs_2x2, default_posterior_init, dump_posteriors,
-                       floor_observations, infer_frames)
+from pof.estep import (FrameResult, _Frames, _abs_2x2, default_posterior_init,
+                       dump_posteriors, floor_observations, infer_frames)
 from pof.optim import FAILED_START, ZERO_PROGRESS
 from conftest import (central_diff, elbo_oracle, importance_log_marginal,
                       random_feasible_posterior, random_frame, random_model)
 from reference import infer_frame
+
+optim = importlib.import_module("pof.optim")
 
 
 def bench_inputs(telephone_band=False, frames=100, seed=0):
@@ -35,6 +37,21 @@ def bench_inputs(telephone_band=False, frames=100, seed=0):
         mask = band_mask(F, 16000.0, 256, 400.0, 3400.0)
         model, W = restrict_model(model, mask), mask.select(W, F)
     return model, W
+
+
+def phi_rows(monkeypatch, sink):
+    """Append to sink the frames of every bound evaluation infer_frames
+    asks for, seen through a one-argument wrapper of minimize's phi."""
+    estep = importlib.import_module("pof.estep")
+    solve = estep.minimize
+
+    def recorded(phi, *args):
+        def seen(batch):
+            sink.append(batch[0])
+            return phi(batch)
+        return solve(seen, *args)
+
+    monkeypatch.setattr(estep, "minimize", recorded)
 
 
 def trivial_instance():
@@ -293,7 +310,7 @@ class TestOneEvaluationPath:
 
 def log_objective(w, model, y):
     """_Frames.objective at the rows of y = log(nu, rho) for one frame w."""
-    return _Frames(np.tile(w, (len(y), 1)), model).objective(y)
+    return _Frames(w[None], model).objective((np.zeros(len(y), dtype=int), y))
 
 
 class TestLogCoordinates:
@@ -485,41 +502,62 @@ class TestInferFrames:
             assert np.array_equal(res_p[i].posterior.rho, res[t].posterior.rho)
 
     @staticmethod
-    def assert_chunks_equal_one_frame_calls(W, model, monkeypatch):
-        # chunks of 5, 5 and 2 frames: each frame's result is bitwise the
-        # one it gets when solved alone
+    def assert_refilled_stack_equals_one_frame_calls(W, model, monkeypatch):
+        # 12 frames through a working set of 5: each frame's result is
+        # bitwise the one it gets when solved alone, including the queued
+        # frames whose start is infeasible (6) or already converged (8)
         W = floor_observations(W)
-        monkeypatch.setattr(importlib.import_module("pof.estep"), "chunks",
-                            lambda items, _: [items[i:i + 5] for i in range(0, items.size, 5)])
-        batched = infer_frames(W, model, seed=7)
-        for t, b in enumerate(batched):
-            (a,) = infer_frames(W[:, t:t + 1], model,
-                                init=[default_posterior_init(model, 7, t)])
+        L = model.n_filters
+        init = [default_posterior_init(model, 7, t) for t in range(W.shape[1])]
+        init[6] = FramePosterior(init[6].nu, np.full(L, -0.5 * model.U.min()))
+        assert not math.isfinite(elbo(W[:, 6], model, init[6]))
+        init[8] = infer_frames(W[:, 8:9], model, init=[init[8]])[0].posterior
+        batches = []
+        phi_rows(monkeypatch, batches)
+        monkeypatch.setattr(optim, "_width", lambda _: 5)
+        stacked = infer_frames(W, model, init=init)
+        assert max(map(len, batches)) == 5
+        # a queued start shares an evaluation with the trials of other frames
+        assert any(np.any(rows < 5) and np.any(rows >= 5) for rows in batches)
+        monkeypatch.undo()
+        for t, b in enumerate(stacked):
+            (a,) = infer_frames(W[:, t:t + 1], model, init=[init[t]])
             assert np.array_equal(a.posterior.nu, b.posterior.nu)
             assert np.array_equal(a.posterior.rho, b.posterior.rho)
             assert a.elbo == b.elbo
-            assert a.status == b.status == "converged"
+            assert a.status == b.status
+        assert [r.status for r in stacked].count("converged") == 11
+        assert stacked[6].status == FAILED_START
+        assert np.array_equal(stacked[6].posterior.rho, init[6].rho)
+        assert np.array_equal(stacked[8].posterior.nu, init[8].nu)
+        assert np.array_equal(stacked[8].posterior.rho, init[8].rho)
 
     def test_one_frame_calls_equal_multi_chunk_call(self, rng, monkeypatch):
         model = random_model(rng, 8, 3)
-        self.assert_chunks_equal_one_frame_calls(rng.lognormal(size=(8, 12)), model,
-                                                 monkeypatch)
+        self.assert_refilled_stack_equals_one_frame_calls(rng.lognormal(size=(8, 12)), model,
+                                                          monkeypatch)
 
     @pytest.mark.parametrize("telephone_band", [False, True], ids=["F=129", "F=48"])
     def test_one_frame_calls_equal_multi_chunk_call_at_benchmark_size(
             self, telephone_band, monkeypatch):
         # the sums over f go through BLAS matrix products
         model, W = bench_inputs(telephone_band, frames=12, seed=3)
-        self.assert_chunks_equal_one_frame_calls(W, model, monkeypatch)
+        self.assert_refilled_stack_equals_one_frame_calls(W, model, monkeypatch)
 
     @pytest.mark.parametrize("telephone_band", [False, True], ids=["F=129", "F=48"])
     def test_solve_stays_within_its_chunk_budget(self, telephone_band, monkeypatch):
-        # the peak bytes of one chunk's solve per frame, as tracemalloc sees
-        # numpy's buffers, against the bytes per frame _solve asks chunks for
+        # the peak bytes of a solve per frame in flight, as tracemalloc sees
+        # numpy's buffers, against the bytes per frame _solve gives minimize;
+        # all 32 frames are in flight at once
         model, W = bench_inputs(telephone_band, frames=32, seed=4)
-        budget = []
-        monkeypatch.setattr(importlib.import_module("pof.estep"), "chunks",
-                            lambda items, item_bytes: budget.append(item_bytes) or [items])
+        estep = importlib.import_module("pof.estep")
+        solve, budget = estep.minimize, []
+
+        def recorded(phi, y0, lower, row_bytes):
+            budget.append(row_bytes)
+            return solve(phi, y0, lower, row_bytes)
+
+        monkeypatch.setattr(estep, "minimize", recorded)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -527,6 +565,7 @@ class TestInferFrames:
             per_frame = (tracemalloc.get_traced_memory()[1] - base) / W.shape[1]
         finally:
             tracemalloc.stop()
+        assert optim._width(budget[0]) >= W.shape[1]
         assert 0.6 * budget[0] <= per_frame <= budget[0]
 
     def test_newton_iterations_per_frame(self, monkeypatch):
@@ -536,6 +575,7 @@ class TestInferFrames:
         # in log coordinates, about 18 in the plain (nu, rho) and about 26
         # with an |eigenvalue|-modified step in place of the step on C
         model, W = bench_inputs()
+        W = floor_observations(W)
         estep = importlib.import_module("pof.estep")
         solve, iters = estep.minimize, []
 
@@ -545,9 +585,8 @@ class TestInferFrames:
             return res
 
         monkeypatch.setattr(estep, "minimize", counted)
-        monkeypatch.setattr(estep, "chunks",
-                            lambda items, _: [items[i:i + 1] for i in range(items.size)])
-        results = infer_frames(W, model, seed=1)
+        results = [infer_frames(W[:, t:t + 1], model, init=[default_posterior_init(model, 1, t)])[0]
+                   for t in range(W.shape[1])]
         assert len(iters) == 100
         assert all(r.status == "converged" for r in results)
         assert np.mean(iters) <= 13.0
@@ -555,32 +594,21 @@ class TestInferFrames:
     @pytest.mark.parametrize("seed", [201, 202])
     def test_chunk_makes_as_many_calls_as_its_slowest_frame(self, seed, monkeypatch):
         # a guard that needs no timing: each frame runs its own line search,
-        # so one chunk of 28 frames evaluates the bound as often as its
-        # slowest frame does when solved alone, and no frame's backtrack
-        # holds up the others
+        # so a working set holding all 28 frames evaluates the bound as often
+        # as its slowest frame does when solved alone, and no frame's
+        # backtrack holds up the others
         model, W = bench_inputs(frames=28, seed=seed)
         W = floor_observations(W)
-        estep = importlib.import_module("pof.estep")
-        solve, calls = estep.minimize, []
-
-        def counted(phi, *args):
-            n = 0
-
-            def counted_phi(y):
-                nonlocal n
-                n += 1
-                return phi(y)
-
-            res = solve(counted_phi, *args)
-            calls.append(n)
-            return res
-
-        monkeypatch.setattr(estep, "minimize", counted)
+        calls = []
+        phi_rows(monkeypatch, calls)
         infer_frames(W, model, seed=1)
-        assert len(calls) == 1
+        together = len(calls)
+        alone = []
         for t in range(W.shape[1]):
+            calls.clear()
             infer_frames(W[:, t:t + 1], model, init=[default_posterior_init(model, 1, t)])
-        assert calls[0] == max(calls[1:])
+            alone.append(len(calls))
+        assert together == max(alone)
 
     def test_bounds_at_least_scipy_optimum(self, rng):
         # scipy's L-BFGS-B from the same start, on the same bound, inside
@@ -619,6 +647,20 @@ class TestInferFrames:
         for d in doc:
             assert len(d["nu"]) == 2 and len(d["rho"]) == 2
             assert isinstance(d["elbo"], float)
+
+
+    def test_dump_bytes(self, tmp_path):
+        # the exact bytes of a two-frame dump; a bound that is not finite
+        # is written as null
+        results = [FrameResult(FramePosterior(np.array([1.5, 0.1]), np.array([2.0, 3.0])),
+                               -1.25, "converged"),
+                   FrameResult(FramePosterior(np.array([1.0, 1e-300]), np.array([4.0, 1e20])),
+                               -math.inf, FAILED_START)]
+        path = tmp_path / "post.json"
+        dump_posteriors(results, path)
+        assert path.read_bytes() == (
+            b'[{"frame": 0, "nu": [1.5, 0.1], "rho": [2.0, 3.0], "elbo": -1.25}, '
+            b'{"frame": 1, "nu": [1.0, 1e-300], "rho": [4.0, 1e+20], "elbo": null}]\n')
 
 
 class TestFloorObservations:

@@ -183,6 +183,18 @@ class TestExpectedLogSpectrum:
 
 
 class TestModelSerialization:
+    def test_file_bytes(self, tmp_path):
+        # the exact bytes of a small model file: one line, json's spacing,
+        # floats by repr
+        model = PoFModel(np.array([[0.5, -1.0]]), np.array([1.0, 2.0]), np.array([3.0]),
+                         ModelMeta(8000.0, 256, "test"))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b'{"format": "pof-model", "version": 1, "F": 1, "L": 2, "U": [[0.5, -1.0]], '
+            b'"alpha": [1.0, 2.0], "gamma": [3.0], '
+            b'"meta": {"sample_rate": 8000.0, "n_fft": 256, "created_by": "test"}}\n')
+
     @fuzz
     @given(model=models(), cut=st.floats(0.0, 1.0, exclude_max=True))
     def test_round_trip(self, tmp_path, model, cut):
