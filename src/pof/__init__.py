@@ -20,8 +20,7 @@ from .features import (FeatureMatrix, add_deltas, load_features_csv,
 from .model import (BandMask, FramePosterior, ModelMeta, PoFModel, Spectrogram,
                     load_model, load_spectrogram, sample, save_model,
                     save_spectrogram)
-from .mstep import (EmConfig, SufficientStats, fit, grad_alpha, grad_gamma,
-                    grad_u_row, mstep, q_objective)
+from .mstep import EmConfig, SufficientStats, fit, mstep
 from .nmf import (NmfFit, NmfModel, load_nmf_model, nmf_encode, nmf_expand,
                   nmf_fit, save_nmf_model)
 from .optim import OptimResult, minimize

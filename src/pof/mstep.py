@@ -1,4 +1,4 @@
-"""M-step objective, analytic gradients, and the variational EM driver.
+"""The M-step, block by block, and the variational EM driver.
 
 The M-step maximizes Q(U, alpha, gamma) = sum_t E_q[log p(w_t, a_t | .)]
 using the expected sufficient statistics from the E-step, one block at a
@@ -23,6 +23,9 @@ time:
   * alpha, then gamma, in closed form up to a 1-D equation: each entry
     solves log x - psi(x) = c for its own constant c, by Minka's
     generalised Newton iteration ("Estimating a Gamma distribution", 2002).
+    gamma's c is read off the phi that each row's U solve ends at; gamma_f
+    enters Q through row f alone, so a row whose start is infeasible keeps
+    its U and gamma while the other rows' gamma is updated.
 
 Block order is U, alpha, gamma; each block only ever improves Q (all three
 are solved to round-off), so the whole M-step is monotone and fit()'s ELBO
@@ -34,7 +37,6 @@ that fit passes on is floored already and comes through unchanged.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 import warnings
@@ -42,16 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .estep import floor_observations, infer_frames, status_counts
 from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram, check_spectrum
-from .optim import chunks, minimize
-from .specfn import _digamma, _ln_gamma, _shape_eq
+from .optim import minimize
+from .specfn import _digamma, _shape_eq
 
-__all__ = ["SufficientStats", "EmConfig", "q_objective", "grad_u_row",
-           "grad_alpha", "grad_gamma", "mstep", "fit"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["SufficientStats", "EmConfig", "mstep", "fit"]
 
 _STREAM_UINIT = 0xF0
 
@@ -69,7 +68,6 @@ class SufficientStats:
     rho: np.ndarray               # (L, T) posterior rates
     expect_a: np.ndarray          # (L, T)
     expect_log_a: np.ndarray      # (L, T)
-    posteriors: list[FramePosterior]
 
     @classmethod
     def from_posteriors(cls, posteriors: list[FramePosterior]) -> "SufficientStats":
@@ -82,7 +80,6 @@ class SufficientStats:
             rho=rho,
             expect_a=nu / rho,
             expect_log_a=_digamma(nu) - np.log(rho),
-            posteriors=list(posteriors),
         )
 
 
@@ -123,57 +120,30 @@ def _alpha_c(stats: SufficientStats) -> np.ndarray:
 
 
 def _row_bytes(stats: SufficientStats) -> int:
-    """The temporaries of one U row's evaluation and direction: about four
-    (L, T) float blocks (measured at L=20, T=64)."""
-    return 4 * 8 * stats.expect_a.size
+    """The peak bytes of one U row in flight: two (L, T) blocks and a few
+    T-vectors of its evaluation, about four (L, L) stacks of its Hessian and
+    direction, and 1 kB of rows and results (tracemalloc at L=5-50 and
+    T=16-400: 116.7 kB at L=50, T=64 against the 135.3 kB asked for)."""
+    L, T = stats.expect_a.shape
+    return 8 * (2 * L * T + 4 * L * L + 6 * T) + 1024
 
 
-def _gamma_c(W: np.ndarray, U: np.ndarray, stats: SufficientStats) -> np.ndarray | None:
-    """c in dQ/d gamma = T (log gamma - psi(gamma) - c); None if infeasible.
-
-    T (c_f + 1) = phi_f(U_f) - sum_t log w_ft (see _u_rows_phi); c_f is inf
-    for a row whose reconstruction overflows.
-    """
-    if np.any(U <= -stats.rho.min(axis=1)):
-        return None
-    sum_ea = stats.expect_a.sum(axis=1)
-    phi = np.empty(U.shape[0])
-    for idx in chunks(np.arange(U.shape[0]), _row_bytes(stats)):
-        phi[idx] = _u_rows_phi(U[idx], W[idx], stats, sum_ea)
+def _gamma_c(W: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """c in dQ/d gamma = T (log gamma - psi(gamma) - c), from phi_f at each
+    row's U_f (_u_rows_phi): T (c_f + 1) = phi_f - sum_t log w_ft; inf
+    where phi_f is."""
     return (phi - np.log(W).sum(axis=1)) / W.shape[1] - 1.0
 
 
-def _shape_q(x: np.ndarray, c: np.ndarray, T: int) -> np.ndarray:
-    """The terms of Q in each shape entry x, given its c from _alpha_c or
-    _gamma_c; concave in x, with derivative T (log x - psi(x) - c)."""
-    return T * (x * np.log(x) - _ln_gamma(x) - (c + 1.0) * x)
-
-
-def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
-    """Q(U, alpha, gamma): the E-step bound minus the posterior entropy."""
-    W = _observed(W, model, stats)
-    c_gamma = _gamma_c(W, model.U, stats)
-    if c_gamma is None:
-        return -math.inf
-    T = W.shape[1]
-    total = (
-        float(np.sum(_shape_q(model.gamma, c_gamma, T))) - float(np.log(W).sum())
-        + float(np.sum(_shape_q(model.alpha, _alpha_c(stats), T)))
-        - float(stats.expect_log_a.sum())
-    )
-    return total if math.isfinite(total) else -math.inf
-
-
-def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
+def _u_rows_phi(u, w, stats: SufficientStats, sum_ea):
     """phi_f(u_f) = u_f . sum_ea + sum_t w_ft exp(S_ft) for a stack of rows.
 
     u is (n, L) and w the matching (n, T) rows of W; phi_f = -Q_f / gamma_f,
     where Q_f is the part of Q that depends on row f. Returns phi (n,), inf
     for a row that is infeasible for the stored posteriors or whose
-    reconstruction overflows. With derivs, also returns the gradient (n, L)
-    and the Hessian (n, L, L), both NaN for a row that is infeasible, and
-    the Hessian again: it is positive semidefinite, so it is its own convex
-    stand-in C for minimize.
+    reconstruction overflows; the gradient (n, L) and the Hessian (n, L, L),
+    both NaN for a row that is infeasible; and the Hessian again: it is
+    positive semidefinite, so it is its own convex stand-in C for minimize.
     """
     L = u.shape[1]
     ok = np.all(u > -stats.rho.min(axis=1), axis=1)
@@ -183,48 +153,19 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea, *, derivs=False):
         S = -np.einsum("lt,mlt->mt", stats.nu, np.log1p(ratio))
         recon = w * np.exp(S)                                  # (n, T)
         phi = u @ sum_ea + recon.sum(axis=1)
-        if derivs:
-            # g_lt = nu_lt / (rho_lt + u_l) = E[a_lt] / (1 + ratio_lt)
-            ratio += 1.0
-            g = np.divide(stats.expect_a, ratio, out=ratio)
-            eg = recon[:, None, :] * g
-            grad = sum_ea - eg.sum(axis=2)
-            hess = eg @ g.transpose(0, 2, 1)
-            # + diag(sum_t E_ft nu_lt / r_lt^2) = diag(sum_t E_ft g_lt^2 / nu_lt)
-            g *= g
-            g /= stats.nu
-            hess[:, np.arange(L), np.arange(L)] += np.einsum("mlt,mt->ml", g, recon)
+        # g_lt = nu_lt / (rho_lt + u_l) = E[a_lt] / (1 + ratio_lt)
+        ratio += 1.0
+        g = np.divide(stats.expect_a, ratio, out=ratio)
+        eg = recon[:, None, :] * g
+        grad = sum_ea - eg.sum(axis=2)
+        hess = eg @ g.transpose(0, 2, 1)
+        # + diag(sum_t E_ft nu_lt / r_lt^2) = diag(sum_t E_ft g_lt^2 / nu_lt)
+        g *= g
+        g /= stats.nu
+        hess[:, np.arange(L), np.arange(L)] += np.einsum("mlt,mt->ml", g, recon)
     phi[~(ok & np.isfinite(phi))] = math.inf
-    if not derivs:
-        return phi
     grad[~ok], hess[~ok] = math.nan, math.nan
     return phi, grad, hess, hess
-
-
-def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
-    """The terms of Q that depend on row u of U, and their gradient.
-
-    Returns (-inf, None) when u is infeasible for the stored posteriors or
-    the reconstruction overflows.
-    """
-    phi, grad, _, _ = _u_rows_phi(u[None], w_f[None], stats, sum_ea, derivs=True)
-    if not math.isfinite(phi[0]):
-        return -math.inf, None
-    return -gamma_f * float(phi[0]), -gamma_f * grad[0]
-
-
-def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
-    """dQ/dU_f: gradient of Q restricted to row f of U.
-
-    Row gradients are independent across f; perturbing any other row leaves
-    this one unchanged.
-    """
-    W = _observed(W, model, stats)
-    _, grad = _u_row_q(model.U[f], W[f], model.gamma[f], stats,
-                       stats.expect_a.sum(axis=1))
-    if grad is None:
-        raise NumericalError(f"U row {f} is infeasible for the stored posteriors")
-    return grad
 
 
 def _solve_shape(c: np.ndarray) -> np.ndarray:
@@ -243,7 +184,8 @@ def _solve_shape(c: np.ndarray) -> np.ndarray:
 
 
 def _update_shape(x0: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Maximise _shape_q(x, c, T) entrywise.
+    """Maximise the terms of Q in each shape entry x, T (x log x - ln Gamma(x)
+    - (c + 1) x), whose derivative is T (log x - psi(x) - c).
 
     An entry whose c is <= 0 or not finite has no finite maximiser (the
     objective rises towards x = inf), so it keeps its previous value.
@@ -252,23 +194,6 @@ def _update_shape(x0: np.ndarray, c: np.ndarray) -> np.ndarray:
     ok = np.isfinite(c) & (c > 0)
     x[ok] = _solve_shape(c[ok])
     return x
-
-
-def grad_alpha(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
-    """dQ/d alpha_l = sum_t (log a_l + 1 - psi(a_l) + E[log a_lt] - E[a_lt])."""
-    W = _observed(W, model, stats)
-    alpha = model.alpha
-    return W.shape[1] * (np.log(alpha) - _digamma(alpha) - _alpha_c(stats))
-
-
-def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
-    """dQ/d gamma_f, summed over frames."""
-    W = _observed(W, model, stats)
-    c = _gamma_c(W, model.U, stats)
-    if c is None:
-        raise NumericalError("gradient requested at an infeasible point")
-    gamma = model.gamma
-    return W.shape[1] * (np.log(gamma) - _digamma(gamma) - c)
 
 
 def mstep(
@@ -282,8 +207,8 @@ def mstep(
 
     U: every row not in frozen_rows is solved to round-off in one minimize
     call. alpha, then gamma: each entry solves its 1-D stationarity
-    equation (_solve_shape). Rows in frozen_rows keep their U and gamma
-    values (used for all-silent frequency bins).
+    equation (_solve_shape). Rows in frozen_rows (all-silent frequency bins)
+    and rows whose start is infeasible keep their U and gamma values.
     """
     W = _observed(W, model, stats)
 
@@ -294,21 +219,16 @@ def mstep(
 
     def phi(batch):
         idx, u = batch
-        return _u_rows_phi(u, w[idx], stats, sum_ea, derivs=True)
+        return _u_rows_phi(u, w[idx], stats, sum_ea)
 
+    res = minimize(phi, model.U[rows], lower, _row_bytes(stats))
     U_new = model.U.copy()
-    U_new[rows] = minimize(phi, model.U[rows], lower, _row_bytes(stats)).x
+    U_new[rows] = res.x
 
     alpha_new = _update_shape(model.alpha, _alpha_c(stats))
 
-    c = _gamma_c(W, U_new, stats)
-    if c is None:  # only when a row's start was infeasible and it was kept
-        logger.warning("gamma update skipped: infeasible reconstruction")
-        gamma_new = model.gamma.copy()
-    else:
-        gamma_new = _update_shape(model.gamma, c)
-        for f in frozen_rows:
-            gamma_new[f] = model.gamma[f]
+    gamma_new = model.gamma.copy()
+    gamma_new[rows] = _update_shape(model.gamma[rows], _gamma_c(w, res.f))
 
     return PoFModel(U_new, alpha_new, gamma_new, model.meta)
 

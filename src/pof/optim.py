@@ -28,7 +28,8 @@ its point; no H, C or gradient is kept beyond it. Each row's Hessian is
 Jacobi-scaled, D = 1/sqrt(|diag H|). Where D H D has a Cholesky factor the
 step is the Newton step on H. Otherwise it is the Newton step on C, scaled
 by its own diagonal, which is a descent direction wherever C is positive
-definite; where C has no Cholesky factor either, the step is not finite.
+definite; where C has no Cholesky factor either, or where the solve meets
+an exact zero pivot, the step is not finite.
 Where phi returns H itself as C, a row whose H has no factor is not
 factored again. A stack is factored in one batched call that marks each
 matrix with no factor; so which rule a row gets, and every reduction,
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-__all__ = ["OptimResult", "minimize", "chunks", "ZERO_PROGRESS", "FAILED_START"]
+__all__ = ["OptimResult", "minimize", "ZERO_PROGRESS", "FAILED_START"]
 
 ZERO_PROGRESS = "zero_progress"
 FAILED_START = "failed: starting point is infeasible (objective not finite)"
@@ -77,8 +78,8 @@ _ARMIJO_C1 = 1e-4
 # way to it.
 _BARRIER_FRACTION = 0.99
 _EPS = np.finfo(float).eps
-# Rows in flight, and rows per evaluated stack, are chosen so that their
-# temporaries stay within this many bytes (at least one row).
+# Rows in flight are chosen so that their temporaries stay within this many
+# bytes (at least one row).
 _CHUNK_BYTES = 4 << 20
 
 
@@ -100,13 +101,6 @@ def _width(row_bytes: int) -> int:
     """How many rows that hold row_bytes each fit in _CHUNK_BYTES (at least
     one)."""
     return max(1, _CHUNK_BYTES // row_bytes)
-
-
-def chunks(items: np.ndarray, item_bytes: int) -> list[np.ndarray]:
-    """items split into stacks whose evaluations, holding item_bytes of
-    temporaries per item, stay within _CHUNK_BYTES."""
-    n = _width(item_bytes)
-    return [items[i:i + n] for i in range(0, items.size, n)]
 
 
 def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +127,17 @@ def _factors(m: np.ndarray) -> np.ndarray:
 
 def _directions(hess: np.ndarray, curv: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """The Newton step of each row on its H where the scaled H has a
-    Cholesky factor, else on its C; not finite where neither has one."""
+    Cholesky factor, else on its C; not finite where neither has one, or
+    where LU meets an exact zero pivot (the gufunc behind np.linalg.solve
+    then leaves NaN instead of raising)."""
     m, scale = _jacobi(hess)
     ok = _factors(m)
     if curv is not hess:
         m[~ok], scale[~ok] = _jacobi(curv[~ok])
         ok[~ok] = _factors(m[~ok])
     step = np.full_like(grad, math.nan)
-    step[ok] = np.linalg.solve(m[ok], (scale * grad)[ok, :, None])[:, :, 0]
+    with np.errstate(all="ignore"):
+        step[ok] = _umath_linalg.solve(m[ok], (scale * grad)[ok, :, None])[..., 0]
     return -scale * step
 
 

@@ -41,6 +41,17 @@ def random_frame(rng, model: PoFModel) -> np.ndarray:
     return rng.lognormal(mean=0.0, sigma=0.7, size=model.n_bins)
 
 
+def huge_bin_problem(scale):
+    """A spectrogram (8 bins, 6 frames) whose bin 0 is scale times the
+    others, and a model for it. At scale 1e100 one frame's Jacobi-scaled
+    Hessian has a Cholesky factor, with a smallest pivot of 1.5e-8, while LU
+    meets an exact zero pivot on it."""
+    W = np.random.default_rng(1).lognormal(size=(8, 6))
+    W[0] *= scale
+    model = PoFModel(np.random.default_rng(2).normal(0.0, 0.3, (8, 2)), np.ones(2), np.ones(8))
+    return W, model
+
+
 def central_diff(fun, x, eps=1e-6) -> np.ndarray:
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

@@ -9,21 +9,28 @@ E-step's chunk solver, and expected_log_spectrum is U a. nmf_run_updates is
 the NMF loop that forms V H afresh in each half-update and again for each
 cost, which pof.nmf._run_updates is tested against.
 
+q_objective is the M-step objective Q(U, alpha, gamma), and grad_u_row,
+grad_alpha and grad_gamma its gradients in each block. They are built from
+the kernels pof.mstep.mstep runs (_u_rows_phi, _alpha_c, _gamma_c), so the
+tests of Q test those too.
+
 All kernels broadcast over array-valued parameters; scalar inputs give
 scalar outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from pof import FramePosterior, NumericalError, PoFModel, ValidationError
+from pof import FramePosterior, NumericalError, PoFModel, SufficientStats, ValidationError
 from pof.estep import _check_frame, _solve
+from pof.mstep import _alpha_c, _gamma_c, _observed, _u_rows_phi
 from pof.nmf import EPS
 from pof.optim import FAILED_START
-from pof.specfn import _digamma, _gamma_fns, _maybe_scalar
+from pof.specfn import _digamma, _gamma_fns, _ln_gamma, _maybe_scalar
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,73 @@ def infer_frame(w, model: PoFModel, init: FramePosterior) -> tuple[FramePosterio
     if result.status == FAILED_START:
         raise NumericalError("initial posterior is infeasible for this model")
     return result.posterior, result.elbo
+
+
+def gamma_c(W, U, stats: SufficientStats) -> np.ndarray:
+    """gamma's c at U (pof.mstep._gamma_c), from a fresh evaluation of phi;
+    inf for a row of U that is infeasible for the stored posteriors."""
+    return _gamma_c(W, _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1))[0])
+
+
+def _shape_q(x: np.ndarray, c: np.ndarray, T: int) -> np.ndarray:
+    """The terms of Q in each shape entry x, given its c from _alpha_c or
+    gamma_c; concave in x, with derivative T (log x - psi(x) - c)."""
+    return T * (x * np.log(x) - _ln_gamma(x) - (c + 1.0) * x)
+
+
+def q_objective(W, model: PoFModel, stats: SufficientStats) -> float:
+    """Q(U, alpha, gamma): the E-step bound minus the posterior entropy;
+    -inf where a row of U is infeasible for the stored posteriors."""
+    W = _observed(W, model, stats)
+    T = W.shape[1]
+    total = (
+        float(np.sum(_shape_q(model.gamma, gamma_c(W, model.U, stats), T)))
+        - float(np.log(W).sum())
+        + float(np.sum(_shape_q(model.alpha, _alpha_c(stats), T)))
+        - float(stats.expect_log_a.sum())
+    )
+    return total if math.isfinite(total) else -math.inf
+
+
+def _u_row_q(u, w_f, gamma_f, stats: SufficientStats, sum_ea):
+    """The terms of Q that depend on row u of U, and their gradient.
+
+    Returns (-inf, None) when u is infeasible for the stored posteriors or
+    the reconstruction overflows.
+    """
+    phi, grad, _, _ = _u_rows_phi(u[None], w_f[None], stats, sum_ea)
+    if not math.isfinite(phi[0]):
+        return -math.inf, None
+    return -gamma_f * float(phi[0]), -gamma_f * grad[0]
+
+
+def grad_u_row(f: int, W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
+    """dQ/dU_f: gradient of Q restricted to row f of U.
+
+    Row gradients are independent across f; perturbing any other row leaves
+    this one unchanged.
+    """
+    W = _observed(W, model, stats)
+    _, grad = _u_row_q(model.U[f], W[f], model.gamma[f], stats,
+                       stats.expect_a.sum(axis=1))
+    if grad is None:
+        raise NumericalError(f"U row {f} is infeasible for the stored posteriors")
+    return grad
+
+
+def grad_alpha(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
+    """dQ/d alpha_l = sum_t (log a_l + 1 - psi(a_l) + E[log a_lt] - E[a_lt])."""
+    W = _observed(W, model, stats)
+    alpha = model.alpha
+    return W.shape[1] * (np.log(alpha) - _digamma(alpha) - _alpha_c(stats))
+
+
+def grad_gamma(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
+    """dQ/d gamma_f, summed over frames; -inf where row f of U is infeasible
+    for the stored posteriors."""
+    W = _observed(W, model, stats)
+    gamma = model.gamma
+    return W.shape[1] * (np.log(gamma) - _digamma(gamma) - gamma_c(W, model.U, stats))
 
 
 def _nmf_kl_cost(W, R):

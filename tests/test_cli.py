@@ -14,6 +14,7 @@ from pof import (ModelMeta, NmfModel, PoFModel, Spectrogram, band_mask, load_fea
 from pof import cli
 from pof.cli import main
 from pof.estep import FrameResult, infer_frames
+from conftest import huge_bin_problem
 
 RATE, N_FFT, F = 8000.0, 16, 9
 
@@ -189,6 +190,14 @@ def test_subcommands_smoke(rng, tmp_path):
 def test_missing_input_is_exit_2(tmp_path, argv):
     paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
     assert main([a.format(**paths) for a in argv]) == 2
+
+
+def test_train_on_a_huge_bin_exits_zero(tmp_path):
+    # a frame whose Newton system is singular ends with a status, not a
+    # traceback
+    spec = write_spec(tmp_path / "in.pofs", huge_bin_problem(1e100)[0])
+    assert main(["train", spec, "-L", "2", "--max-iters", "3",
+                 "-o", str(tmp_path / "m.json")]) == 0
 
 
 def test_train_logs_frame_status_counts(rng, tmp_path, capsys):

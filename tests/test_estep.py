@@ -17,7 +17,7 @@ from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
 from pof.estep import (FrameResult, _Frames, _abs_2x2, default_posterior_init,
                        dump_posteriors, floor_observations, infer_frames)
 from pof.optim import FAILED_START, ZERO_PROGRESS
-from conftest import (central_diff, elbo_oracle, importance_log_marginal,
+from conftest import (central_diff, elbo_oracle, huge_bin_problem, importance_log_marginal,
                       random_feasible_posterior, random_frame, random_model)
 from reference import infer_frame
 
@@ -489,6 +489,16 @@ class TestInferFrames:
         assert np.array_equal(results[0].posterior.nu, post.nu)
         assert np.array_equal(results[0].posterior.rho, post.rho)
         assert results[0].elbo == bound
+
+    def test_singular_newton_system_ends_its_frame(self):
+        # a frame whose Newton system LU cannot solve gets a status; the
+        # solve of the other frames goes on
+        W, model = huge_bin_problem(1e100)
+        results = infer_frames(W, model)
+        assert len(results) == W.shape[1]
+        assert {r.status for r in results} <= {"converged", "max_iters",
+                                               "line_search_failed", ZERO_PROGRESS}
+        assert all(math.isfinite(r.elbo) for r in results)
 
     def test_permutation_equivariance(self, rng):
         model = random_model(rng, 6, 2)

@@ -9,11 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 from pof import (BandMask, DataFormatError, EmConfig, FramePosterior, ModelMeta, NmfModel,
                  PoFModel, Spectrogram, SufficientStats, ValidationError, fit,
-                 floor_observations, grad_alpha, grad_gamma, grad_u_row, infer_frames,
-                 load_model, load_spectrogram, mstep, nmf_encode, nmf_fit, q_objective,
-                 sample, save_model, save_spectrogram)
+                 floor_observations, infer_frames, load_model, load_spectrogram, mstep,
+                 nmf_encode, nmf_fit, sample, save_model, save_spectrogram)
 from conftest import random_feasible_posterior, random_model
-from reference import expected_log_spectrum
+from reference import expected_log_spectrum, grad_alpha, grad_gamma, grad_u_row, q_objective
 
 # Round-trip fuzz: every example rewrites one file under tmp_path.
 fuzz = settings(max_examples=20, deadline=None,
@@ -76,7 +75,8 @@ class TestTypes:
 
 
 # Every entry point that takes an observed spectrogram reads it through
-# model.check_spectrum, alone (NMF) or inside floor_observations (PoF).
+# model.check_spectrum, alone (NMF) or inside floor_observations (PoF); so
+# do Q and its gradients in tests/reference.py, through mstep's own check.
 ENTRY_POINTS = ["floor_observations", "fit", "infer_frames", "mstep", "q_objective",
                 "grad_u_row", "grad_alpha", "grad_gamma", "nmf_fit", "nmf_encode"]
 

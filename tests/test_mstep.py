@@ -3,6 +3,7 @@ determinism, and recovery behavior."""
 
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,21 +13,26 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationError,
-                 elbo, fit, grad_alpha, grad_gamma, grad_u_row, mstep, q_objective,
-                 sample)
+                 elbo, fit, mstep, sample)
 from pof.estep import floor_observations, infer_frames
-from pof.mstep import (SufficientStats, _alpha_c, _gamma_c, _solve_shape,
-                       _u_row_q, _u_rows_phi)
+from pof.mstep import SufficientStats, _alpha_c, _solve_shape, _u_rows_phi
 from pof.specfn import _shape_eq
-from conftest import (central_diff, q_oracle, random_feasible_posterior,
-                      random_model)
-from reference import GammaParams, gamma_entropy
+from conftest import (central_diff, huge_bin_problem, q_oracle,
+                      random_feasible_posterior, random_model)
+from reference import (GammaParams, _u_row_q, gamma_c, gamma_entropy, grad_alpha,
+                       grad_gamma, grad_u_row, q_objective)
 
 
-def random_problem(rng, F=6, L=3, T=4):
+def random_posteriors(rng, F=6, L=3, T=4):
+    """W, a random model and T random feasible posteriors."""
     model = random_model(rng, F, L)
     posts = [random_feasible_posterior(rng, model) for _ in range(T)]
     W = rng.lognormal(sigma=0.7, size=(F, T))
+    return W, model, posts
+
+
+def random_problem(rng, F=6, L=3, T=4):
+    W, model, posts = random_posteriors(rng, F, L, T)
     return W, model, SufficientStats.from_posteriors(posts)
 
 
@@ -44,23 +50,19 @@ class TestQObjective:
 
     def test_elbo_decomposition_identity(self, rng):
         # sum_t elbo_t = Q + sum_t entropy_t, exactly
-        W, model, stats = random_problem(rng, F=7, L=3, T=5)
-        q = q_objective(W, model, stats)
-        total_elbo = sum(
-            elbo(W[:, t], model, p) for t, p in enumerate(stats.posteriors)
-        )
+        W, model, posts = random_posteriors(rng, F=7, L=3, T=5)
+        q = q_objective(W, model, SufficientStats.from_posteriors(posts))
+        total_elbo = sum(elbo(W[:, t], model, p) for t, p in enumerate(posts))
         total_entropy = sum(
-            float(np.sum(gamma_entropy(GammaParams(p.nu, p.rho))))
-            for p in stats.posteriors
+            float(np.sum(gamma_entropy(GammaParams(p.nu, p.rho)))) for p in posts
         )
         assert total_elbo == pytest.approx(q + total_entropy, rel=1e-9)
 
     def test_matches_scalar_loop_oracle(self, rng):
         for _ in range(10):
-            W, model, stats = random_problem(rng)
-            assert q_objective(W, model, stats) == pytest.approx(
-                q_oracle(W, model, stats.posteriors), rel=1e-10
-            )
+            W, model, posts = random_posteriors(rng)
+            assert q_objective(W, model, SufficientStats.from_posteriors(posts)) == \
+                pytest.approx(q_oracle(W, model, posts), rel=1e-10)
 
     def test_infeasible_is_neg_inf(self):
         model = PoFModel(np.full((1, 1), -2.0), alpha=np.ones(1), gamma=np.ones(1))
@@ -140,10 +142,10 @@ class TestGradGamma:
             assert np.max(np.abs(analytic - fd) / denom) < 1e-5
 
     def test_duplicated_frame_doubles_gradient(self, rng):
-        W, model, stats = random_problem(rng, T=1)
-        single = grad_gamma(W, model, stats)
+        W, model, posts = random_posteriors(rng, T=1)
+        single = grad_gamma(W, model, SufficientStats.from_posteriors(posts))
         W2 = np.column_stack([W[:, 0], W[:, 0]])
-        stats2 = SufficientStats.from_posteriors(stats.posteriors * 2)
+        stats2 = SufficientStats.from_posteriors(posts * 2)
         double = grad_gamma(W2, model, stats2)
         assert np.allclose(double, 2.0 * single, rtol=1e-12)
 
@@ -192,7 +194,7 @@ class TestMstep:
             new = mstep(W, model, stats, frozen_rows=frozen)
             T = W.shape[1]
             ok_alpha = _alpha_c(stats) > 0
-            ok_gamma = _gamma_c(W, new.U, stats) > 0
+            ok_gamma = gamma_c(W, new.U, stats) > 0
             ok_gamma[list(frozen)] = False
             assert ok_alpha.any() and ok_gamma.any()
             assert np.max(np.abs(grad_alpha(W, new, stats)[ok_alpha])) <= 1e-9 * T
@@ -203,7 +205,7 @@ class TestMstep:
         # towards gamma = inf, so the previous value stays
         W, model, stats = trivial_problem()
         model = PoFModel(model.U, model.alpha, np.array([2.5]))
-        assert _gamma_c(W, model.U, stats)[0] == 0.0
+        assert gamma_c(W, model.U, stats)[0] == 0.0
         assert mstep(W, model, stats).gamma[0] == 2.5
 
     def test_alpha_gamma_recovery_with_true_filters(self, rng):
@@ -251,7 +253,7 @@ class TestURowNewton:
             W, model, stats = random_problem(rng)
             f = int(rng.integers(model.n_bins))
             _, _, hess, _ = _u_rows_phi(model.U[f:f + 1], W[f:f + 1], stats,
-                                     stats.expect_a.sum(axis=1), derivs=True)
+                                     stats.expect_a.sum(axis=1))
             analytic = -model.gamma[f] * hess[0]       # Hessian of Q_f
 
             def grad_at(u_row):
@@ -276,7 +278,7 @@ class TestURowNewton:
         stats = SufficientStats.from_posteriors(posts)
         W = arrays((3, T), 1e-6, 1e6)
         U = -stats.rho.min(axis=1) + arrays((3, L), 1e-6, 1e3)
-        _, _, hess, curv = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
+        _, _, hess, curv = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1))
         assert curv is hess
         for h in hess[np.all(np.isfinite(hess), axis=(1, 2))]:
             assert np.linalg.eigvalsh(h).min() >= -1e-12 * np.abs(h).max()
@@ -307,6 +309,36 @@ class TestURowNewton:
         scale = np.abs(stacked).max(axis=1, keepdims=True)
         assert np.all(np.abs(chunked - stacked) <= 1e-10 * scale)
 
+    @pytest.mark.parametrize("L, T", [(50, 16), (50, 64), (20, 80), (5, 400)])
+    def test_solve_stays_within_its_row_budget(self, L, T, monkeypatch):
+        # the peak bytes of the U solve per row in flight, as tracemalloc
+        # sees numpy's buffers, against the bytes per row mstep gives
+        # minimize; all 24 rows are in flight at once
+        rng = np.random.default_rng(L + T)
+        F = 24
+        model = PoFModel(rng.normal(0.0, 0.01, (F, L)), np.ones(L), rng.uniform(0.5, 5.0, F))
+        stats = SufficientStats.from_posteriors(
+            [FramePosterior(rng.uniform(0.5, 5.0, L), rng.uniform(0.5, 5.0, L))
+             for _ in range(T)])
+        W = rng.lognormal(size=(F, T))
+        mstep_module = importlib.import_module("pof.mstep")
+        solve, budget, peak = mstep_module.minimize, [], []
+
+        def measured(phi, x0, lower, row_bytes):
+            budget.append(row_bytes)
+            tracemalloc.start()
+            try:
+                res = solve(phi, x0, lower, row_bytes)
+                peak.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return res
+
+        monkeypatch.setattr(mstep_module, "minimize", measured)
+        mstep(W, model, stats)
+        assert importlib.import_module("pof.optim")._width(budget[0]) >= F
+        assert 0.6 * budget[0] <= peak[0] / F <= budget[0]
+
     def test_singular_hessian_row_kept(self, rng):
         # row 2's reconstruction underflows to 0 in every frame: exp(S) <=
         # (1 + 1e60 / 4)^-6 < 1e-350, so its Hessian is exactly 0 (W is
@@ -319,7 +351,7 @@ class TestURowNewton:
         posts = [FramePosterior(np.full(L, 2.0), np.full(L, 1.0 + t)) for t in range(T)]
         stats = SufficientStats.from_posteriors(posts)
         W = rng.lognormal(sigma=0.7, size=(F, T))
-        _, _, hess, _ = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1), derivs=True)
+        _, _, hess, _ = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1))
         assert np.all(hess[2] == 0.0)
         new = mstep(W, model, stats)
         assert np.array_equal(new.U[2], U[2])
@@ -353,9 +385,15 @@ class TestURowNewton:
         model = PoFModel(U, model.alpha, model.gamma)
         new = mstep(W, model, stats)
         assert np.array_equal(new.U[3], U[3])
-        assert np.array_equal(new.gamma, model.gamma)   # no feasible gamma update
-        for f in (0, 1, 2, 4):
-            grad = grad_u_row(f, W, new, stats)
+        assert new.gamma[3] == model.gamma[3]
+        # gamma_f enters Q through row f alone: the other rows' gamma is solved
+        others = [0, 1, 2, 4]
+        assert np.all(gamma_c(W, new.U, stats)[others] > 0)
+        assert np.max(np.abs(grad_gamma(W, new, stats)[others])) <= 1e-9 * W.shape[1]
+        # U rows scored with the starting gamma, as before mstep
+        solved = PoFModel(new.U, model.alpha, model.gamma)
+        for f in others:
+            grad = grad_u_row(f, W, solved, stats)
             assert np.max(np.abs(grad)) < 1e-8 * model.gamma[f] * stats.expect_a.sum()
 
 
@@ -407,6 +445,12 @@ class TestFit:
             model, _ = fit(W, EmConfig(L=2, max_em_iters=3))
         assert np.array_equal(model.U[2], np.zeros(2))
         assert model.gamma[2] == 1.0
+
+    @pytest.mark.parametrize("scale", [1e50, 1e100, 1e150])
+    def test_huge_bin_gives_finite_trace(self, scale):
+        W, _ = huge_bin_problem(scale)
+        _, trace = fit(W, EmConfig(L=2, max_em_iters=3))
+        assert len(trace) == 3 and all(math.isfinite(b) for b in trace)
 
     def test_too_few_frames(self):
         W = Spectrogram(np.ones((4, 1)), "magnitude", 16000, 1024, 512)

@@ -141,6 +141,25 @@ class TestMinimize:
         expected = -d * np.linalg.solve(curv * d[:, None] * d[None, :], d * grad)
         assert np.array_equal(step, expected)
 
+    def test_singular_solve_gives_its_row_no_step(self, monkeypatch):
+        # a scaled H can have a (tiny) Cholesky factor where LU meets an
+        # exact zero pivot; _factors is made to pass every matrix, so row 1,
+        # whose rows 0 and 2 are exact negatives, reaches the solve
+        monkeypatch.setattr(optim, "_factors", lambda m: np.ones(len(m), dtype=bool))
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 4, 4))
+        hess = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        hess[1] = [[1.0, 0.5, -1.0, 0.2], [0.5, 1.0, -0.5, 0.3],
+                   [-1.0, -0.5, 1.0, -0.2], [0.2, 0.3, -0.2, 1.0]]
+        grad = rng.normal(size=(3, 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(hess[1], grad[1])
+        step = optim._directions(hess, hess, grad)
+        assert not np.any(np.isfinite(step[1]))
+        for i in (0, 2):
+            alone = optim._directions(hess[i:i + 1], hess[i:i + 1], grad[i:i + 1])[0]
+            assert np.array_equal(step[i], alone)
+
     def test_row_whose_c_has_no_factor_is_kept(self):
         # row 0 lies on the saddle x0^2 - x1^2 (where x1 < 0.5) and is given
         # a stand-in C that is indefinite too: it has no direction and keeps
@@ -490,10 +509,11 @@ class TestTracedCallers:
         evaluated, seen = [], []
         rows_phi = mstep_module._u_rows_phi
 
-        def counted_rows_phi(u, *args, **kwargs):
-            if kwargs.get("derivs"):
-                evaluated.append(len(u))
-            return rows_phi(u, *args, **kwargs)
+        # gamma's c is read off the values the U solve ends at, so every
+        # evaluation of phi is one that minimize asked for
+        def counted_rows_phi(u, *args):
+            evaluated.append(len(u))
+            return rows_phi(u, *args)
 
         monkeypatch.setattr(mstep_module, "_u_rows_phi", counted_rows_phi)
         monkeypatch.setattr(mstep_module, "minimize",
