@@ -9,8 +9,8 @@ feature extraction, with KL/IS NMF baselines for comparison.
 __version__ = "0.1.0"
 
 from .bwe import BweResult, expand, reconstruct_point, restrict_model
-from .dsp import (AudioClip, StftConfig, apply_mask, band_mask, load_wav,
-                  log_spectral_distance, stft_magnitude, stft_power)
+from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_distance,
+                  stft_magnitude, stft_power)
 from .errors import (DataFormatError, NumericalError, PofError,
                      UnsupportedFormatError, ValidationError)
 from .estep import (FrameResult, default_posterior_init, dump_posteriors,

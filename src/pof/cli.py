@@ -20,7 +20,7 @@ from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_dista
                   stft_magnitude, stft_power)
 from .errors import DataFormatError, NumericalError, PofError, ValidationError
 from .estep import FrameResult, dump_posteriors, infer_frames, status_counts
-from .features import _pofc_of, add_deltas, median_smooth, mfcc, save_features_csv
+from .features import add_deltas, median_smooth, mfcc, pofc, save_features_csv
 from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sample,
                     save_model, save_spectrogram)
 from .mstep import EmConfig, fit
@@ -202,7 +202,7 @@ def cmd_features(args) -> int:
             raise ValidationError("features needs -m MODEL or --mfcc")
         model = load_model(args.model)
         results = infer_frames(spec, model, seed=cfg["seed"])
-        feat = _pofc_of(results)
+        feat = pofc(results)
         counts = " " + status_counts(r.status for r in results)
     if args.deltas:
         feat = add_deltas(feat)

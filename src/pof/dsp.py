@@ -24,7 +24,6 @@ __all__ = [
     "stft_magnitude",
     "stft_power",
     "band_mask",
-    "apply_mask",
     "log_spectral_distance",
 ]
 
@@ -119,12 +118,6 @@ def band_mask(F: int, sample_rate: float, n_fft: int, low: float, high: float) -
     if kept.size == 0:
         raise ValidationError(f"band [{low}, {high}] Hz keeps no bins")
     return BandMask(kept)
-
-
-def apply_mask(spec: Spectrogram, mask: BandMask) -> Spectrogram:
-    """Row-select a spectrogram down to the masked bins."""
-    return Spectrogram(mask.select(spec.data, spec.n_bins), spec.kind,
-                       spec.sample_rate, spec.n_fft, spec.hop)
 
 
 def log_spectral_distance(a: Spectrogram, b: Spectrogram, bins: BandMask | None = None) -> float:

@@ -106,9 +106,9 @@ class FrameResult:
 
 def status_counts(statuses) -> str:
     """The frames per status: "converged=n max_iters=n ... failed_start=n"."""
-    counts = Counter("failed_start" if s == FAILED_START else s for s in statuses)
+    counts = Counter(statuses)
     return " ".join(f"{s}={counts[s]}" for s in (
-        "converged", "max_iters", "line_search_failed", ZERO_PROGRESS, "failed_start"))
+        "converged", "max_iters", "line_search_failed", ZERO_PROGRESS, FAILED_START))
 
 
 def floor_observations(W) -> np.ndarray:

@@ -10,8 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError, ValidationError
-from .estep import infer_frames
-from .model import PoFModel, Spectrogram
+from .model import Spectrogram
 
 __all__ = [
     "FeatureMatrix",
@@ -51,18 +50,9 @@ class FeatureMatrix:
         object.__setattr__(self, "labels", labels)
 
 
-def pofc(
-    W: Spectrogram,
-    model: PoFModel,
-    *,
-    seed: int = 0,
-) -> FeatureMatrix:
-    """Posterior-mean activations E[a_t] as an L x T feature matrix."""
-    return _pofc_of(infer_frames(W, model, seed=seed))
-
-
-def _pofc_of(results) -> FeatureMatrix:
-    """The PoFC features of frames already inferred, one column per frame."""
+def pofc(results) -> FeatureMatrix:
+    """PoFC features: the posterior-mean activations E[a_t] of frames
+    inferred by infer_frames, as an L x T matrix with one column per frame."""
     data = np.column_stack([r.posterior.mean() for r in results])
     return FeatureMatrix(data, tuple(f"pofc{l}" for l in range(data.shape[0])))
 
@@ -146,23 +136,15 @@ def add_deltas(feat: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(np.vstack([feat.data, d, dd]), labels)
 
 
-def median_smooth(x, length: int = 25):
-    """Per-row sliding median with edge-truncated windows.
-
-    Accepts a FeatureMatrix (returns one) or a 1-D/2-D array (returns an
-    array of the same shape). length must be odd.
+def median_smooth(feat: FeatureMatrix, length: int = 25) -> FeatureMatrix:
+    """Per-row sliding median of a feature matrix, with edge-truncated
+    windows. length must be odd.
     """
     if length < 1 or length % 2 == 0:
         raise ValidationError("median filter length must be a positive odd number")
-    if isinstance(x, FeatureMatrix):
-        return FeatureMatrix(median_smooth(x.data, length), x.labels)
-    arr = np.asarray(x, dtype=float)
-    squeeze = arr.ndim == 1
-    rows = np.atleast_2d(arr)
+    rows = feat.data
     half = length // 2
     n_rows, T = rows.shape
-    if T == 0:
-        return arr.copy()
     # Window t of the NaN-padded rows holds the n_t = min(T, t + half + 1) -
     # max(0, t - half) entries of the edge-truncated window; sorting puts the
     # NaN padding last, so the median is the middle of the first n_t entries.
@@ -180,11 +162,7 @@ def median_smooth(x, length: int = 25):
                           axis=2)
         k = np.arange(b - a)
         out[:, a:b] = (ordered[:, k, lo[a:b]] + ordered[:, k, hi[a:b]]) / 2
-    # a NaN of the input sorts with the padding; its windows' medians are NaN,
-    # as np.median gives
-    nan = np.pad(np.isnan(rows), ((0, 0), (half, half)))
-    out[sliding_window_view(nan, length, axis=1).any(axis=2)] = np.nan
-    return out[0] if squeeze else out
+    return FeatureMatrix(out, feat.labels)
 
 
 def save_features_csv(feat: FeatureMatrix, path) -> None:

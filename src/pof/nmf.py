@@ -10,6 +10,9 @@ Each half-update forms the reconstruction R = max(V H, EPS) once, so an
 iteration of nmf_fit (V, then H) forms V H twice and one of nmf_encode (H
 alone) once; the cost of each iterate is read off the R that the next
 update starts from.
+
+Both entry points draw their start from the seed and run _run_updates;
+nmf_encode, and so nmf_expand, stops after at most _MAX_ITERS iterations.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ NMF_FORMAT = "pof-nmf"
 NMF_VERSION = 1
 
 _STREAM_NMF = 0xA0
+_MAX_ITERS = 500
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,6 @@ def _cost_of(W, divergence):
     return is_cost
 
 
-def _cost(W, V, H, divergence) -> float:
-    return _cost_of(W, divergence)(_reconstruct(V, H))
-
-
 def _update_kl(W, V, H, R, update_v: bool):
     if update_v:
         V = V * ((W / R) @ H.T) / np.maximum(H.sum(axis=1), EPS)
@@ -148,9 +148,7 @@ def nmf_fit(
     divergence: str = "kl",
     seed: int = 0,
     rel_tol: float = 1e-4,
-    max_iters: int = 500,
-    V0: np.ndarray | None = None,
-    H0: np.ndarray | None = None,
+    max_iters: int = _MAX_ITERS,
 ) -> tuple[NmfModel, NmfFit]:
     """Factor W into a dictionary V and activations H by multiplicative updates."""
     if divergence not in DIVERGENCES:
@@ -165,10 +163,8 @@ def nmf_fit(
         logger.warning("K=%d exceeds min(F, T)=%d; factorization is overcomplete",
                        K, min(F, T))
     rng = np.random.default_rng([int(seed), _STREAM_NMF])
-    V = np.array(V0, dtype=float) if V0 is not None else rng.uniform(0.1, 1.1, (F, K))
-    H = np.array(H0, dtype=float) if H0 is not None else rng.uniform(0.1, 1.1, (K, T))
-    if V.shape != (F, K) or H.shape != (K, T):
-        raise ValidationError("V0/H0 shapes do not match (F, K) / (K, T)")
+    V = rng.uniform(0.1, 1.1, (F, K))
+    H = rng.uniform(0.1, 1.1, (K, T))
     V, H, trace = _run_updates(data, V, H, divergence, rel_tol, max_iters, update_v=True)
     return NmfModel(V, divergence), NmfFit(H, trace)
 
@@ -179,8 +175,6 @@ def nmf_encode(
     mask: BandMask,
     seed: int = 0,
     rel_tol: float = 1e-4,
-    max_iters: int = 500,
-    H0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Infer activations for band-limited data with the dictionary fixed.
 
@@ -193,10 +187,8 @@ def nmf_encode(
     data = mask.select(check_spectrum(W_bl), model.n_bins)
     T = data.shape[1]
     rng = np.random.default_rng([int(seed), _STREAM_NMF, 1])
-    H = np.array(H0, dtype=float) if H0 is not None else rng.uniform(0.1, 1.1, (model.K, T))
-    if H.shape != (model.K, T):
-        raise ValidationError("H0 shape does not match (K, T)")
-    _, H, _ = _run_updates(data, V_bl, H, model.divergence, rel_tol, max_iters,
+    H = rng.uniform(0.1, 1.1, (model.K, T))
+    _, H, _ = _run_updates(data, V_bl, H, model.divergence, rel_tol, _MAX_ITERS,
                            update_v=False)
     return H
 
@@ -207,13 +199,12 @@ def nmf_expand(
     mask: BandMask,
     seed: int = 0,
     rel_tol: float = 1e-4,
-    max_iters: int = 500,
 ) -> Spectrogram:
     """Reconstruct the full band as V H_bl, passing observed rows through."""
     if not isinstance(W_bl, Spectrogram):
         raise ValidationError("nmf_expand needs a Spectrogram input")
     observed = mask.select(W_bl.data, model.n_bins)
-    H = nmf_encode(observed, model, mask, seed=seed, rel_tol=rel_tol, max_iters=max_iters)
+    H = nmf_encode(observed, model, mask, seed=seed, rel_tol=rel_tol)
     recon = model.V @ H
     recon[mask.kept] = observed
     return Spectrogram(recon, W_bl.kind, W_bl.sample_rate, W_bl.n_fft, W_bl.hop)

@@ -65,7 +65,7 @@ from numpy.linalg import _umath_linalg
 __all__ = ["OptimResult", "minimize", "ZERO_PROGRESS", "FAILED_START"]
 
 ZERO_PROGRESS = "zero_progress"
-FAILED_START = "failed: starting point is infeasible (objective not finite)"
+FAILED_START = "failed_start"
 
 # Newton iterations, capped for each row on its own. At F=129, L=20 an
 # E-step frame from the default start takes about 11 in log coordinates (at

@@ -127,10 +127,6 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return _gamma_fns(x)[1]
 
 
-def _trigamma(x: np.ndarray) -> np.ndarray:
-    return _gamma_fns(x)[2]
-
-
 def _shape_eq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log x - psi(x), 1/x - psi_1(x)) for a vector x > 0: the left side
     of the shape equation and its derivative. From x = 8 on both come from
@@ -158,4 +154,4 @@ def digamma(x):
 
 def trigamma(x):
     """psi_1(x) = d/dx psi(x) for x > 0."""
-    return _maybe_scalar(_trigamma(_checked(x, "x")), x)
+    return _maybe_scalar(_gamma_fns(_checked(x, "x"))[2], x)

@@ -2,15 +2,20 @@
 
 import functools
 import json
+import os
 import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pof
 from pof import (ModelMeta, NmfModel, PoFModel, Spectrogram, band_mask, load_features_csv,
-                 load_model, load_nmf_model, load_spectrogram, log_spectral_distance,
-                 save_model, save_nmf_model, save_spectrogram)
+                 load_model, load_nmf_model, load_spectrogram, log_spectral_distance, mfcc,
+                 sample, save_model, save_nmf_model, save_spectrogram)
 from pof import cli
 from pof.cli import main
 from pof.estep import FrameResult, infer_frames
@@ -95,6 +100,67 @@ def test_removed_config_key_is_exit_2(rng, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown key 'threads'" in err
     assert "valid keys: K, L, divergence, high_hz, hop, low_hz" in err
+
+
+def test_synth_seed_flag_over_config_file(rng, tmp_path):
+    model = PoFModel(rng.normal(0.0, 0.3, size=(F, 2)), np.ones(2), np.full(F, 2.0))
+    save_model(model, tmp_path / "model.json")
+    config = tmp_path / "pof.cfg"
+    config.write_text("seed=3\n")
+    out = str(tmp_path / "synth.pofs")
+    argv = ["synth", "-m", str(tmp_path / "model.json"), "-T", "4",
+            "--config", str(config), "-o", out]
+    for extra, seed in (([], 3), (["--seed", "5"], 5)):
+        assert main(argv + extra) == 0
+        assert np.array_equal(load_spectrogram(out).data, sample(model, 4, seed)[0].data)
+
+
+def test_features_n_mfcc_flag_over_config_file(rng, tmp_path):
+    # n_mels has no flag: only the file sets it
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 5)))
+    config = tmp_path / "pof.cfg"
+    config.write_text("n_mfcc=5\nn_mels=20\n")
+    out = str(tmp_path / "feat.csv")
+    argv = ["features", spec, "--mfcc", "--config", str(config), "-o", out]
+    for extra, n_coeffs in (([], 5), (["--n-mfcc", "7"], 7)):
+        assert main(argv + extra) == 0
+        want = mfcc(load_spectrogram(spec), n_coeffs=n_coeffs, n_mels=20)
+        assert np.array_equal(load_features_csv(out).data, want.data)
+
+
+_NUMPY_ONLY_PIPELINE = """
+import sys
+sys.modules["scipy"] = None
+sys.modules["hypothesis"] = None
+import numpy as np
+from pof import ModelMeta, PoFModel, save_model
+from pof.cli import main
+
+out = sys.argv[1] + "/"
+rng = np.random.default_rng(0)
+save_model(PoFModel(rng.normal(0.0, 0.3, (9, 2)), np.ones(2), np.full(9, 2.0),
+                    ModelMeta(sample_rate=8000.0, n_fft=16)), out + "true.json")
+for argv in (["synth", "-m", out + "true.json", "-T", "12", "-o", out + "in.pofs"],
+             ["train", out + "in.pofs", "-L", "2", "--max-iters", "2", "-o", out + "m.json"],
+             ["encode", out + "in.pofs", "-m", out + "m.json", "-o", out + "post.json"],
+             ["bwe", out + "in.pofs", "-m", out + "m.json", "-o", out + "bwe.pofs"],
+             ["features", out + "in.pofs", "-m", out + "m.json", "-o", out + "feat.csv"]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+
+def test_pipeline_runs_on_numpy_alone(tmp_path):
+    # pyproject declares numpy as the only dependency; scipy and hypothesis
+    # are installed for the tests, so an import of either would pass unseen
+    src = str(Path(pof.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_PIPELINE, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "feat.csv").exists()
 
 
 def write_wav(path, samples):

@@ -108,7 +108,7 @@ def test_entry_points_reject_malformed_spectra(rng, entry, case):
         "grad_alpha": lambda W: grad_alpha(W, model, stats),
         "grad_gamma": lambda W: grad_gamma(W, model, stats),
         "nmf_fit": lambda W: nmf_fit(W, 2, max_iters=2),
-        "nmf_encode": lambda W: nmf_encode(W, nmf, BandMask(np.arange(6)), max_iters=2),
+        "nmf_encode": lambda W: nmf_encode(W, nmf, BandMask(np.arange(6))),
     }[entry]
     with pytest.raises(ValidationError):
         call(malformed_spectrum(rng, case))

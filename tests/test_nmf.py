@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from pof import (BandMask, DataFormatError, NmfModel, Spectrogram, ValidationError,
                  load_nmf_model, nmf_encode, nmf_expand, nmf_fit, save_nmf_model)
-from pof.nmf import _cost, _run_updates
+from pof.nmf import _cost_of, _reconstruct, _run_updates
 from reference import nmf_run_updates
 
 
@@ -22,11 +22,11 @@ class TestNmfFit:
         V0 = rng.uniform(0.5, 2.0, (F, K))
         H0 = rng.uniform(0.5, 2.0, (K, T))
         W = V0 @ H0
-        model, fit = nmf_fit(spec_of(W), K, divergence, seed=0, max_iters=3,
-                             V0=V0.copy(), H0=H0.copy())
-        assert np.allclose(model.V, V0, rtol=1e-6)
-        assert np.allclose(fit.H, H0, rtol=1e-6)
-        assert fit.cost_trace[0] < 1e-9 * W.sum()
+        V, H, trace = _run_updates(W, V0.copy(), H0.copy(), divergence, 1e-4, 3,
+                                   update_v=True)
+        assert np.allclose(V, V0, rtol=1e-6)
+        assert np.allclose(H, H0, rtol=1e-6)
+        assert trace[0] < 1e-9 * W.sum()
 
     @pytest.mark.parametrize("divergence", ["kl", "is"])
     def test_cost_monotone(self, rng, divergence):
@@ -51,11 +51,10 @@ class TestNmfFit:
         V0 = rng.uniform(0.1, 1.1, (10, K))
         H0 = rng.uniform(0.1, 1.1, (K, 14))
         d = np.array([0.5, 2.0, 1.25])
-        _, fit_a = nmf_fit(spec_of(W), K, "kl", max_iters=60, rel_tol=1e-12,
-                           V0=V0, H0=H0)
-        _, fit_b = nmf_fit(spec_of(W), K, "kl", max_iters=60, rel_tol=1e-12,
-                           V0=V0 * d, H0=H0 / d[:, None])
-        assert np.allclose(fit_a.cost_trace, fit_b.cost_trace, rtol=1e-9)
+        _, _, trace_a = _run_updates(W, V0, H0, "kl", 1e-12, 60, update_v=True)
+        _, _, trace_b = _run_updates(W, V0 * d, H0 / d[:, None], "kl", 1e-12, 60,
+                                     update_v=True)
+        assert np.allclose(trace_a, trace_b, rtol=1e-9)
 
     def test_zero_input_rejected(self):
         with pytest.raises(ValidationError):
@@ -103,7 +102,7 @@ class TestRunUpdates:
         V = rng.uniform(0.1, 1.1, (9, 3))
         H = rng.uniform(0.1, 1.1, (3, 11))
         _, _, trace = _run_updates(W, V, H, divergence, 1e-4, 0, update_v=True)
-        assert trace == [_cost(W, V, H, divergence)]
+        assert trace == [_cost_of(W, divergence)(_reconstruct(V, H))]
 
 
 class TestNmfEncode:
@@ -111,9 +110,10 @@ class TestNmfEncode:
         W = rng.lognormal(size=(10, 16))
         model, fit = nmf_fit(spec_of(W), 3, "kl", seed=5, rel_tol=1e-6, max_iters=400)
         mask = BandMask(np.arange(10))
-        H = nmf_encode(W, model, mask, seed=6, rel_tol=1e-6, max_iters=400)
-        joint = _cost(W, model.V, fit.H, "kl")
-        encoded = _cost(W, model.V, H, "kl")
+        H = nmf_encode(W, model, mask, seed=6, rel_tol=1e-6)
+        cost = _cost_of(W, "kl")
+        joint = cost(_reconstruct(model.V, fit.H))
+        encoded = cost(_reconstruct(model.V, H))
         assert encoded <= 1.1 * joint
 
     def test_duplicate_frames_give_identical_columns(self, rng):
@@ -125,7 +125,8 @@ class TestNmfEncode:
         # columns are updated independently, so identical data + identical
         # (column-constant) init gives identical activation columns
         H0 = np.tile(np.full((2, 1), 0.7), (1, 6))
-        H = nmf_encode(W6, model, mask, max_iters=100, H0=H0)
+        _, H, _ = _run_updates(W6, mask.select(model.V, 8), H0, "kl", 1e-4, 100,
+                               update_v=False)
         for t in range(1, 6):
             assert np.allclose(H[:, t], H[:, 0], rtol=1e-12)
 
@@ -136,7 +137,8 @@ class TestNmfEncode:
         W = V @ H_true
         model = NmfModel(V, "kl")
         mask = BandMask(np.arange(F))
-        H = nmf_encode(W, model, mask, max_iters=4, H0=H_true.copy())
+        _, H, _ = _run_updates(W, mask.select(model.V, F), H_true.copy(), "kl", 1e-4, 4,
+                               update_v=False)
         assert np.allclose(H, H_true, rtol=1e-8)
 
 
@@ -179,7 +181,7 @@ class TestNmfExpand:
         mask = BandMask([2, 3])
         W_bl = np.zeros((2, 4))
         W_bl[:] = 1e-9  # nearly-zero observations drive H to ~0
-        out = nmf_expand(spec_of(W_bl), model, mask, max_iters=4000, rel_tol=1e-12)
+        out = nmf_expand(spec_of(W_bl), model, mask, rel_tol=1e-12)
         outside = np.setdiff1d(np.arange(6), mask.kept)
         assert np.all(out.data[outside] < 1e-6)
 

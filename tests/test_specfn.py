@@ -14,7 +14,7 @@ import scipy.special as sp
 from hypothesis import given, settings, strategies as st
 
 from pof import ValidationError
-from pof.specfn import _gamma_fns, _shape_eq, _trigamma, digamma, ln_gamma, trigamma
+from pof.specfn import _gamma_fns, _shape_eq, digamma, ln_gamma, trigamma
 from reference import (GammaParams, gamma_entropy, gamma_expect_a, gamma_expect_log_a,
                        log_gamma_mgf)
 
@@ -104,7 +104,7 @@ class TestTrigamma:
         x = np.array([1e-200, 1e-320])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(_trigamma(x) == np.inf)
+            assert np.all(_gamma_fns(x)[2] == np.inf)
 
 
 # Log-uniform over (1e-8, 1e8), so every decade is drawn alike.
