@@ -19,14 +19,17 @@ Gram term plus one 2x2 block B_l per filter on (nu_l, rho_l), and only the
 blocks can be indefinite. Its stand-in C is the Gram term plus the blocks
 |B_l|, each block's eigenvalues made absolute in closed form (the |H| of
 saddle-free Newton, Dauphin et al. 2014, where the indefiniteness lives).
-_Frames.bound evaluates L, its gradient g, H and C in (nu, rho) in one
-(m, 2L, F) buffer for m frames: log1p(U_fl / rho_l) and U_fl / rho_l, the
+_Frames.bound evaluates L and its gradient in (nu, rho), and
+_Frames.objective, through the same code, also the Hessian in log
+coordinates (below), in one (m, 2L, F) buffer for m frames:
+log1p(U_fl / rho_l) and U_fl / rho_l, the
 latter turned into B = U / (rho + U) in place. Every sum over f is a matrix
 product on it: S, the f-sums behind g, and the Gram term, from the buffer
 scaled by sqrt(c) in place. Per frame it holds 2 F L floats, and forming B
 takes F L more for a moment; _solve gives minimize the bytes of a frame in
 flight, this buffer or the (2L, 2L) stacks of its direction, whichever is
-more, and so bounds how many frames are in flight at once.
+more, as measured with tracemalloc (at L=20 and F=129, 88 kB of the 99 kB
+asked for), and so bounds how many frames are in flight at once.
 
 Frames are independent. infer_frames solves all frames of the spectrogram
 in one call of the batched damped Newton of pof.optim.minimize, which keeps
@@ -43,9 +46,15 @@ with
 
     g_y = x * g,   H_y = X H X + diag(g_y),   C_y = X C X + diag(max(g_y, 0)),
 
-g and H the gradient and Hessian of -L. C_y is positive semidefinite, and
-it is H_y wherever C = H and g_y >= 0; where H_y has no Cholesky factor the
-solver steps on C_y. A frame's posterior is exp(y) and its bound is the
+g and H the gradient and Hessian of -L. H and C in (nu, rho) are never
+formed: H_y is built from the buffer, whose Gram factors dS_f / dy are
+(log1p(r), B) times s = x * (-1, nu / rho) = (-nu, nu), by adding the
+blocks B_l scaled by (nu^2, nu rho, rho^2), and then g_y, on strided views
+of the diagonals of the stack. C_y is positive semidefinite, and it is H_y
+wherever C = H and g_y >= 0; where H_y has no Cholesky factor the solver
+steps on C_y, which the objective forms only for the rows minimize asks
+for (H_y has a factor on about 85% of the rows an encode batch steps
+from). A frame's posterior is exp(y) and its bound is the
 one there. A frame that never moved ("zero_progress", a failed start, a
 converged start) keeps its start x0 bitwise, with the bound at
 exp(log x0), which equals its start's to rounding. Each frame is solved to
@@ -150,86 +159,126 @@ class _Frames:
         rho_min = np.maximum(0.0, -model.U.min(axis=0))
         self.lower = np.concatenate((np.zeros_like(rho_min), rho_min))
 
-    def bound(self, x: np.ndarray, derivs: int = 0, rows=slice(None)):
-        """L at each row (nu, rho) of x (m, 2L), for the frames rows (all by
-        default), and, with derivs=1, its gradient (m, 2L); with derivs=2
-        also H and C (m, 2L, 2L), the Hessian of -L and its stand-in (see
-        the module docstring). What derivs does not ask for is None. A row
-        outside the box nu > 0, rho > rho_min, or whose bound, gradient or H
-        is not finite, has bound -inf and NaN derivatives.
+    def _terms(self, x, derivs, rows):
+        """L at each row (nu, rho) of x (m, 2L) for the frames rows, with no
+        row marked yet: v (m,) and good, the rows inside the box nu > 0,
+        rho > rho_min whose v (and, with derivs=1, gradient) is finite; with
+        derivs=1 also the gradient g (m, 2L) and what the Hessian is formed
+        from: the buffer, its halves now log1p(r) and B = U / (rho + U), c
+        (m, F), cb = sum_f c_f B (m, L), ea = nu / rho, k = (gamma U +
+        alpha) / rho^2 and alpha psi_2 + h'' (m, L). Call it under errstate.
         """
         L, F = self.UT.shape
         alpha, gu = self.alpha, self.gu
         nu, rho = x[:, :L], x[:, L:]
-        g = h = gram = None
+        # log1p(r) over r = U^T / rho, filter-major: passes run along f
+        jac = np.empty((len(x), 2 * L, F))
+        r = np.divide(self.UT, rho[:, :, None], out=jac[:, L:])
+        np.log1p(r, out=jac[:, :L])
+        # c_f = gamma_f w_f exp(S_f), S_f = -sum_l nu_l log1p(U_fl / rho_l)
+        c = self.gw[rows] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
+        ea = nu / rho
+        _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
+        v = (self.const[rows] - (gu * ea).sum(axis=1) - c.sum(axis=1)
+             + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
+        good = np.all(x > self.lower, axis=1) & np.isfinite(v)
+        if not derivs:
+            return v, None, good, None
+        np.divide(r, r + 1.0, out=r)                  # B = U / (rho + U)
+        # dS / d(nu, rho) = (-log1p(r), ea B): g needs sum_f c log1p(r), c B
+        cl, cb = np.split((jac @ c[:, :, None])[:, :, 0], 2, axis=1)
+        k = (gu + alpha) / (rho * rho)
+        g = np.concatenate((cl + alpha * psi1 + ent1 - (gu + alpha) / rho,
+                            k * nu - alpha / rho - ea * cb), axis=1)
+        good &= np.all(np.isfinite(g), axis=1)
+        return v, g, good, (jac, c, cb, ea, k, alpha * psi2 + ent2)
+
+    def bound(self, x: np.ndarray, derivs: int = 0, rows=slice(None)):
+        """L at each row (nu, rho) of x (m, 2L), for the frames rows (all by
+        default), and, with derivs=1, its gradient (m, 2L), else None. A row
+        outside the box nu > 0, rho > rho_min, or whose bound or gradient is
+        not finite, has bound -inf and a NaN gradient.
+        """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # log1p(r) over r = U^T / rho, filter-major: passes run along f
-            jac = np.empty((len(x), 2 * L, F))
-            r = np.divide(self.UT, rho[:, :, None], out=jac[:, L:])
-            np.log1p(r, out=jac[:, :L])
-            # c_f = gamma_f w_f exp(S_f), S_f = -sum_l nu_l log1p(U_fl / rho_l)
-            c = self.gw[rows] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
-            ea = nu / rho
-            _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
-            v = (self.const[rows] - (gu * ea).sum(axis=1) - c.sum(axis=1)
-                 + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
-            good = np.all(x > self.lower, axis=1) & np.isfinite(v)
-            if derivs:
-                np.divide(r, r + 1.0, out=r)                  # B = U / (rho + U)
-                # dS / d(nu, rho) = (-log1p(r), ea B): g needs sum_f c log1p(r), c B
-                cl, cb = np.split((jac @ c[:, :, None])[:, :, 0], 2, axis=1)
-                k = (gu + alpha) / (rho * rho)
-                g = np.concatenate((cl + alpha * psi1 + ent1 - (gu + alpha) / rho,
-                                    k * nu - alpha / rho - ea * cb), axis=1)
-                good &= np.all(np.isfinite(g), axis=1)
-            if derivs == 2:
-                # the Gram term sum_f c_f dS_f dS_f^T, signs and ea put in after
-                # the product; its rho diagonal before that is sum_f c_f B^2
-                jac *= np.sqrt(c)[:, None, :]
-                gram = jac @ jac.transpose(0, 2, 1)
-                del jac, r
-                i, j = np.arange(L), np.arange(L, 2 * L)
-                cb2 = gram[:, j, j]
-                d = np.concatenate((np.full_like(ea, -1.0), ea), axis=1)
-                gram *= d[:, :, None] * d[:, None, :]
-                # the blocks B_l of -L: [[b_nn, b_nr], [b_nr, b_rr]], with
-                # minus sum_f c_f times the second derivatives of S_f:
-                # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2
-                blocks = (-(alpha * psi2 + ent2), cb / rho - k,
-                          2.0 * k * ea - alpha / (rho * rho) - ea * (2.0 * cb - cb2) / rho)
-                h = gram.copy()
-                for m, (b_nn, b_nr, b_rr) in ((h, blocks), (gram, _abs_2x2(*blocks))):
-                    m[:, i, i] += b_nn
-                    m[:, i, j] += b_nr
-                    m[:, j, i] += b_nr
-                    m[:, j, j] += b_rr
-                good &= np.all(np.isfinite(h), axis=(1, 2))
+            v, g, good, _ = self._terms(x, derivs, rows)
         if not good.all():
             v[~good] = -math.inf
-            for a in (g, h, gram):
-                if a is not None:
-                    a[~good] = math.nan
-        return v, g, h, gram
+            if g is not None:
+                g[~good] = math.nan
+        return v, g
 
     def objective(self, batch):
         """-L at x = exp(y) for the frames rows, batch = (rows, y) with y =
-        (log nu, log rho), with its gradient, Hessian and stand-in in y (see
-        the module docstring): the function minimize solves. A row whose H_y
-        is not finite has value +inf."""
+        (log nu, log rho), with its gradient g_y, its Hessian H_y and a
+        function of positions in the batch that returns C_y at those rows
+        (see the module docstring): the function minimize solves. A row
+        outside the box, or whose value, g_y or H_y is not finite, has value
+        +inf; its derivatives are not meant to be read."""
         rows, y = batch
-        with np.errstate(over="ignore"):
+        L = self.UT.shape[0]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x = np.exp(y)
-        value, grad, hess, curv = self.bound(x, 2, rows)
-        i = np.arange(y.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = -x * grad
-            for m, d in ((hess, g), (curv, np.maximum(g, 0.0))):
-                m *= x[:, :, None]
-                m *= x[:, None, :]
-                m[:, i, i] += d
-        # g is on the diagonal of H_y, so this also catches an overflow in g
-        value[~np.all(np.isfinite(hess), axis=(1, 2))] = -math.inf
-        return -value, g, hess, curv
+            v, g, good, (jac, c, cb, ea, k, shape2) = self._terms(x, 1, rows)
+            g *= -x                                       # g_y
+            nu, rho = x[:, :L], x[:, L:]
+            # the Gram term sum_f c_f dS_f dS_f^T, with dS_f / dy =
+            # s (log1p(r), B) and s = x (-1, ea) = (-nu, nu) put in after the
+            # product; its rho diagonal before that is sum_f c_f B^2
+            jac *= np.sqrt(c)[:, None, :]
+            hess = jac @ jac.transpose(0, 2, 1)
+            del jac
+            diag, nr, rn = _block_entries(hess)
+            cb2 = diag[:, L:].copy()
+            s = np.concatenate((-nu, nu), axis=1)
+            hess *= s[:, :, None]
+            hess *= s[:, None, :]
+            gram = diag.copy(), nr.copy()
+            # the blocks B_l of -L in (nu, rho), [[b_nn, b_nr], [b_nr, b_rr]],
+            # with minus sum_f c_f times the second derivatives of S_f:
+            # d2S / dnu drho = B / rho, d2S / drho^2 = -nu B (2 - B) / rho^2;
+            # X B_l X scales them by (nu^2, nu rho, rho^2)
+            blocks = (-shape2, cb / rho - k,
+                      2.0 * k * ea - self.alpha / (rho * rho) - ea * (2.0 * cb - cb2) / rho)
+            scales = (nu * nu, nu * rho, rho * rho)
+            _add_blocks((diag, nr, rn), blocks, scales, g)
+        # g_y is on the diagonal of H_y, so this also catches an overflow in g_y
+        v[~(good & np.all(np.isfinite(hess), axis=(1, 2)))] = -math.inf
+
+        def stand_in(at):
+            """C_y = X (Gram + |B|) X + diag(max(g_y, 0)) at the positions at."""
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                curv = hess[at]
+                d, o, p = _block_entries(curv)
+                d[...], o[...], p[...] = gram[0][at], gram[1][at], gram[1][at]
+                _add_blocks((d, o, p), _abs_2x2(*(b[at] for b in blocks)),
+                            tuple(e[at] for e in scales), np.maximum(g[at], 0.0))
+            return curv
+
+        return -v, g, hess, stand_in
+
+
+def _block_entries(m):
+    """Writable views of the stack m (k, 2L, 2L), C-contiguous: its
+    diagonal (k, 2L) and its (nu_l, rho_l) and (rho_l, nu_l) entries (k, L),
+    as strided slices of its flat rows."""
+    k, d = m.shape[:2]
+    L = d // 2
+    flat = m.reshape(k, d * d)
+    return flat[:, ::d + 1], flat[:, L:d * L:d + 1], flat[:, d * L::d + 1]
+
+
+def _add_blocks(entries, blocks, scales, diagonal):
+    """Add the 2x2 blocks [[b_nn, b_nr], [b_nr, b_rr]] (each (k, L)), times
+    scales, to the entries of _block_entries, then diagonal (k, 2L)."""
+    diag, nr, rn = entries
+    (b_nn, b_nr, b_rr), (s_nn, s_nr, s_rr) = blocks, scales
+    L = nr.shape[1]
+    diag[:, :L] += b_nn * s_nn
+    diag[:, L:] += b_rr * s_rr
+    off = b_nr * s_nr
+    nr += off
+    rn += off
+    diag += diagonal
 
 
 def _abs_2x2(a, b, c):
@@ -251,19 +300,35 @@ def _abs_2x2(a, b, c):
 def elbo(w, model: PoFModel, post: FramePosterior) -> float:
     """Variational lower bound for one frame; -inf iff some U_fl <= -rho_l."""
     w = _check_frame(w, model)
-    value, _, _, _ = _Frames(w[None], model).bound(np.concatenate((post.nu, post.rho))[None])
+    value, _ = _Frames(w[None], model).bound(np.concatenate((post.nu, post.rho))[None])
     return float(value[0])
 
 
 def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (d/d nu, d/d rho) of the bound at a feasible point."""
     w = _check_frame(w, model)
-    value, grad, _, _ = _Frames(w[None], model).bound(
+    value, grad = _Frames(w[None], model).bound(
         np.concatenate((post.nu, post.rho))[None], derivs=1)
     if not math.isfinite(value[0]):
         raise NumericalError("gradient requested at an infeasible point")
     L = model.n_filters
     return grad[0, :L], grad[0, L:]
+
+
+def _default_starts(model: PoFModel, seed: int, frames) -> np.ndarray:
+    """The default starts (nu, rho) of the frames, one row each (see
+    default_posterior_init), each drawn from its frame's own stream."""
+    L = model.n_filters
+    x = np.empty((len(frames), 2 * L))
+    for row, t in zip(x, frames):
+        rng = np.random.default_rng([int(seed), _STREAM_EINIT, int(t)])
+        row[:L] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
+        row[L:] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
+    rho_min = np.maximum(0.0, -model.U.min(axis=0))
+    scale = np.maximum(1.0, 2.0 * rho_min / x[:, L:])
+    x[:, :L] *= scale
+    x[:, L:] *= scale
+    return x
 
 
 def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePosterior:
@@ -275,36 +340,31 @@ def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePoste
     is moderate. Starting on the barrier instead gives gradients near 1e15
     and a first line search that may accept no step.
     """
-    rng = np.random.default_rng([int(seed), _STREAM_EINIT, int(frame)])
+    (x,) = _default_starts(model, seed, [frame])
     L = model.n_filters
-    nu = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
-    rho = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
-    rho_min = np.maximum(0.0, -model.U.min(axis=0))
-    scale = np.maximum(1.0, 2.0 * rho_min / rho)
-    return FramePosterior(nu * scale, rho * scale)
+    return FramePosterior(x[:L], x[L:])
 
 
-def _solve(data: np.ndarray, model: PoFModel,
-           starts: list[FramePosterior]) -> list[FrameResult]:
-    """Infer every column of data (F, T) from its start, in one minimize
-    call."""
+def _solve(data: np.ndarray, model: PoFModel, x0: np.ndarray) -> list[FrameResult]:
+    """Infer every column of data (F, T) from its start, the row (nu, rho)
+    of x0 (T, 2L), in one minimize call."""
     F, L = model.U.shape
-    if any(p.nu.size != L for p in starts):
-        raise ValidationError(f"initial posteriors must have L={L} entries")
-    x0 = np.array([np.concatenate((p.nu, p.rho)) for p in starts])
     y0 = np.log(x0)
     frames = _Frames(np.ascontiguousarray(data.T), model)
     with np.errstate(divide="ignore"):
         lower = np.log(frames.lower)
     # the peak of a solve per frame in flight, measured with tracemalloc at
     # L=5 to 50 and F=48 to 513, counts its F L and its L^2 parts apart: the
-    # bound's buffer, the temporary of B and a few F-vectors beside about
-    # four (2L, 2L) stacks, or nine such stacks while minimize picks the
-    # directions of an evaluation's rows, whichever is more, plus about 4 kB
-    # of rows and results (at L=20 it is 113 kB per frame at F=129 and
-    # 110 kB at F=48, against the 119 kB asked for)
+    # bound's buffer, the temporary of B and a few F-vectors beside the last
+    # evaluation's H_y and the L-vectors of a frame, counted as two (2L, 2L)
+    # stacks; or, while minimize picks the directions, H_y, its scaled copy
+    # and, for rows whose H_y has no factor, C_y and its scaled copy or
+    # factor, up to 4.9 stacks (at L=50), budgeted as six; whichever is
+    # more, plus about 6 kB of rows and results (at L=20 it is 88 kB per
+    # frame at F=129 and 59 to 66 kB at F=48, against the 99 and 83 kB
+    # asked for)
     s = 4 * L * L
-    res = minimize(frames.objective, y0, lower, 8 * max(3 * F * L + 5 * F + 4 * s, 9 * s) + 4096)
+    res = minimize(frames.objective, y0, lower, 8 * max(3 * F * L + 5 * F + 2 * s, 6 * s) + 6144)
     # a row that never moved keeps its start bitwise, not exp(log x0);
     # a row that moved has a finite bound at exp(y), so exp(y) is finite
     kept = np.all(res.x == y0, axis=1)
@@ -335,12 +395,16 @@ def infer_frames(
         raise ValidationError(
             f"spectrogram has {data.shape[0]} bins, model expects {model.n_bins}"
         )
-    T = data.shape[1]
-    if init is not None and len(init) != T:
+    T, L = data.shape[1], model.n_filters
+    if init is None:
+        x0 = _default_starts(model, seed, range(T))
+    elif len(init) != T:
         raise ValidationError("init list length must equal the number of frames")
-    starts = init if init is not None else [
-        default_posterior_init(model, seed, t) for t in range(T)]
-    return _solve(data, model, starts)
+    elif any(p.nu.size != L for p in init):
+        raise ValidationError(f"initial posteriors must have L={L} entries")
+    else:
+        x0 = np.array([np.concatenate((p.nu, p.rho)) for p in init])
+    return _solve(data, model, x0)
 
 
 def dump_posteriors(results: list[FrameResult], path) -> None:

@@ -155,7 +155,7 @@ def median_smooth(feat: FeatureMatrix, length: int = 25) -> FeatureMatrix:
     n = np.minimum(T, t + half + 1) - np.maximum(0, t - half)
     lo, hi = (n - 1) // 2, n // 2
     out = np.empty_like(rows)
-    block = max(1, _SMOOTH_CHUNK_BYTES // (8 * n_rows * length))
+    block = max(1, _SMOOTH_CHUNK_BYTES // (8 * max(1, n_rows) * length))
     for a in range(0, T, block):
         b = min(T, a + block)
         ordered = np.sort(sliding_window_view(padded[:, a:b + 2 * half], length, axis=1),

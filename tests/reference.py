@@ -115,7 +115,8 @@ def infer_frame(w, model: PoFModel, init: FramePosterior) -> tuple[FramePosterio
     """Optimize (nu, rho) for one positive frame w, unfloored; returns the
     posterior and its bound. Raises NumericalError when the start is
     infeasible."""
-    (result,) = _solve(_check_frame(w, model)[:, None], model, [init])
+    x0 = np.concatenate((init.nu, init.rho))[None]
+    (result,) = _solve(_check_frame(w, model)[:, None], model, x0)
     if result.status == FAILED_START:
         raise NumericalError("initial posterior is infeasible for this model")
     return result.posterior, result.elbo

@@ -191,33 +191,44 @@ def curvature_points(rng, model, w):
     return np.array([np.concatenate((p.nu, p.rho)) for p in posts])
 
 
+def log_objective(w, model, y):
+    """_Frames.objective at the rows of y = log(nu, rho) for one frame w,
+    with C_y at every row in place of the function that returns it."""
+    value, grad, hess, stand_in = _Frames(w[None], model).objective(
+        (np.zeros(len(y), dtype=int), y))
+    return value, grad, hess, stand_in(np.arange(len(y)))
+
+
 class TestCurvature:
-    """H, the Hessian of -L that the E-step's Newton steps use, and C, the
-    stand-in built from the Gram term and the blocks |B_l|."""
+    """H_y, the Hessian of -L in y = log(nu, rho) that the E-step's Newton
+    steps use, and C_y, its stand-in built from the Gram term and the
+    blocks |B_l| of the Hessian in (nu, rho), each scaled by X = diag(nu,
+    rho)."""
 
     def test_hessian_matches_central_differences(self, rng):
+        # H_y = X H X + diag(g_y), H from central differences of elbo_grad
         for _ in range(10):
             model = random_model(rng, 6, 3)
             post = random_feasible_posterior(rng, model)
             w = random_frame(rng, model)
             L = model.n_filters
-            x = np.concatenate([post.nu, post.rho])
-            _, _, hess, _ = _Frames(w[None], model).bound(x[None], derivs=2)
+            x = np.exp(np.log(np.concatenate([post.nu, post.rho])))
+            _, grad, hess, _ = log_objective(w, model, np.log(x)[None])
 
             def minus_grad(z, i):
                 return -np.concatenate(elbo_grad(w, model, FramePosterior(z[:L], z[L:])))[i]
 
             fd = np.array([central_diff(lambda z: minus_grad(z, i), x, eps=1e-6)
                            for i in range(2 * L)])
-            assert np.allclose(hess[0], fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max())
+            expected = x[:, None] * fd * x[None, :] + np.diag(grad[0])
+            assert np.allclose(hess[0], expected, rtol=1e-5, atol=1e-7 * np.abs(expected).max())
 
     def test_stand_in_is_symmetric_psd(self, rng):
         replaced = 0
         for _ in range(10):
             model = random_model(rng, 6, 3)
             w = random_frame(rng, model)
-            x = curvature_points(rng, model, w)
-            _, _, hess, curv = _Frames(np.tile(w, (len(x), 1)), model).bound(x, derivs=2)
+            _, _, hess, curv = log_objective(w, model, np.log(curvature_points(rng, model, w)))
             replaced += np.sum(np.any(curv != hess, axis=(1, 2)))
             for c in curv:
                 scale = np.abs(c).max()
@@ -231,25 +242,32 @@ class TestCurvature:
             model = random_model(rng, 6, 3)
             w = random_frame(rng, model)
             L = model.n_filters
-            x = curvature_points(rng, model, w)
-            _, _, hess, curv = _Frames(np.tile(w, (len(x), 1)), model).bound(x, derivs=2)
-            for z, h, c in zip(x, hess, curv):
-                gram = gram_oracle(w, model, z)
-                expected = gram.copy()
+            y = np.log(curvature_points(rng, model, w))
+            _, grad, hess, curv = log_objective(w, model, y)
+            for z, g, h, c in zip(np.exp(y), grad, hess, curv):
+                # the Gram term, the blocks and their |.| in (nu, rho),
+                # scaled by X; H_y and C_y also hold g_y and max(g_y, 0)
+                # on their diagonals
+                scale = np.outer(z, z)
+                gram = gram_oracle(w, model, z) * scale
+                expected = gram + np.diag(np.maximum(g, 0.0))
                 psd = []
                 for l in range(L):
                     idx = np.ix_([l, L + l], [l, L + l])
-                    block = h[idx] - gram[idx]
+                    h_x = (h[idx] - np.diag(g[[l, L + l]])) / scale[idx]
+                    block = h_x - gram[idx] / scale[idx]
                     lam = np.linalg.eigvalsh(block)
-                    tol = 1e-8 * np.abs(h[idx]).max()
+                    tol = 1e-8 * np.abs(h_x).max()
                     if np.abs(lam).min() <= tol:
                         break  # too close to singular to classify
                     psd.append(lam.min() > 0)
-                    expected[idx] += abs_oracle(block)
+                    expected[idx] += abs_oracle(block) * scale[idx]
                 else:
                     seen[all(psd)] += 1
                     if all(psd):
-                        assert np.array_equal(c, h)
+                        # C_y is H_y bitwise but where g_y < 0, on the diagonal
+                        same = ~np.diag(g < 0.0)
+                        assert np.array_equal(c[same], h[same])
                     else:
                         assert not np.array_equal(c, h)
                         assert np.allclose(c, expected, rtol=1e-9,
@@ -286,8 +304,9 @@ class TestCurvature:
 
 
 class TestOneEvaluationPath:
-    """bound builds g, H and C in the buffer that holds the bound's terms,
-    so what derivs asks for must not change what it returns besides."""
+    """bound and the objective share the code that forms the value and the
+    gradient, so what is asked for must not change what is returned
+    besides."""
 
     @pytest.mark.parametrize("F, L", [(6, 3), (129, 20)])
     def test_value_and_gradient_do_not_depend_on_derivs(self, rng, F, L):
@@ -297,25 +316,29 @@ class TestOneEvaluationPath:
             x = curvature_points(rng, model, w)
             frames = _Frames(np.tile(w, (len(x) + 2, 1)), model)
             outside = np.repeat(x[:1], 2, axis=0)
-            outside[0, 0] = -1.0                           # nu < 0
-            outside[1, L:] = 0.5 * frames.lower[L:]        # rho inside the barrier
+            outside[0, L:] = 0.5 * frames.lower[L:]        # rho inside the barrier
+            outside[1, 0] = -1.0                           # nu < 0
             x = np.concatenate((x, outside))
-            (v0, _, _, _), (v1, g1, _, _), (v2, g2, _, _) = (
-                frames.bound(x, derivs=d) for d in (0, 1, 2))
-            assert np.all(v0[-2:] == -math.inf) and np.all(np.isnan(g2[-2:]))
+            (v0, g0), (v1, g1) = (frames.bound(x, derivs=d) for d in (0, 1))
+            assert g0 is None
+            assert np.all(v0[-2:] == -math.inf) and np.all(np.isnan(g1[-2:]))
             assert np.all(np.isfinite(v0[:-2]))
-            assert np.array_equal(v0, v1) and np.array_equal(v0, v2)
-            assert np.array_equal(g1, g2, equal_nan=True)
-
-
-def log_objective(w, model, y):
-    """_Frames.objective at the rows of y = log(nu, rho) for one frame w."""
-    return _Frames(w[None], model).objective((np.zeros(len(y), dtype=int), y))
+            assert np.array_equal(v0, v1)
+            # the objective at y = log x: -L and g_y = -x g at exp(y); the
+            # row inside the barrier may have rho = 0
+            with np.errstate(divide="ignore"):
+                y = np.log(x[:-1])
+            rows = np.arange(len(y))
+            value, grad, _, _ = frames.objective((rows, y))
+            v, g = frames.bound(np.exp(y), derivs=1, rows=rows)
+            assert np.array_equal(value, -v) and value[-1] == math.inf
+            assert np.array_equal(grad[:-1], -np.exp(y[:-1]) * g[:-1])
 
 
 class TestLogCoordinates:
-    """The objective the solver sees: -L at x = exp(y) with g_y = x g,
-    H_y = X H X + diag(g_y) and C_y = X C X + diag(max(g_y, 0))."""
+    """The objective the solver sees: -L at x = exp(y) with g_y = -x g,
+    H_y = X H X + diag(g_y) and C_y = X C X + diag(max(g_y, 0)), g the
+    gradient of L and H, C the Hessian of -L and its stand-in in (nu, rho)."""
 
     def test_derivatives_match_central_differences(self, rng):
         for _ in range(10):
@@ -347,6 +370,7 @@ class TestLogCoordinates:
         seen = {True: 0, False: 0}
         for _ in range(10):
             model = random_model(rng, 6, 3)
+            L = model.n_filters
             w = random_frame(rng, model)
             W = np.tile(w[:, None], 4)
             y = np.log([np.concatenate((r.posterior.nu, r.posterior.rho))
@@ -354,10 +378,11 @@ class TestLogCoordinates:
             _, _, hess, _ = log_objective(w, model, y)
             v = np.linalg.solve(hess, np.ones(y.shape)[:, :, None])[:, :, 0]
             y = np.concatenate((y, y + 1e-3 * v / np.abs(v).max(axis=1, keepdims=True)))
-            _, _, h, c = _Frames(np.tile(w, (len(y), 1)), model).bound(np.exp(y), derivs=2)
             _, grad, hess, curv = log_objective(w, model, y)
-            for h_x, c_x, g, hy, cy in zip(h, c, grad, hess, curv):
-                if not np.array_equal(c_x, h_x):
+            for g, hy, cy in zip(grad, hess, curv):
+                # an indefinite block changes its (nu_l, rho_l) entry in C
+                if not np.array_equal(cy[np.arange(L), np.arange(L, 2 * L)],
+                                      hy[np.arange(L), np.arange(L, 2 * L)]):
                     continue
                 positive = bool(np.all(g >= 0.0))
                 seen[positive] += 1
@@ -489,6 +514,27 @@ class TestInferFrames:
         assert np.array_equal(results[0].posterior.nu, post.nu)
         assert np.array_equal(results[0].posterior.rho, post.rho)
         assert results[0].elbo == bound
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_default_starts_are_default_posterior_init(self, seed):
+        # the starts drawn for all frames at once are, frame by frame, those
+        # default_posterior_init draws; one frame's is moved off the barrier
+        model, W = bench_inputs(frames=12, seed=seed)
+        rho_min = np.maximum(0.0, -model.U.min(axis=0))
+        init = [default_posterior_init(model, seed, t) for t in range(W.shape[1])]
+        assert any(np.any(np.isclose(p.rho, 2.0 * rho_min, rtol=1e-12, atol=0.0)) for p in init)
+        drawn = infer_frames(W, model, seed=seed)
+        given = infer_frames(W, model, init=init)
+        for a, b in zip(drawn, given):
+            assert np.array_equal(a.posterior.nu, b.posterior.nu)
+            assert np.array_equal(a.posterior.rho, b.posterior.rho)
+            assert a.elbo == b.elbo and a.status == b.status
+
+    def test_init_of_another_length_rejected(self, rng):
+        model = random_model(rng, 6, 2)
+        with pytest.raises(ValidationError):
+            infer_frames(rng.lognormal(size=(6, 1)), model,
+                         init=[FramePosterior(np.ones(3), np.ones(3))])
 
     def test_singular_newton_system_ends_its_frame(self):
         # a frame whose Newton system LU cannot solve gets a status; the

@@ -163,6 +163,10 @@ class TestMedianSmooth:
             want[:, t] = np.median(x[:, max(0, t - half):t + half + 1], axis=1)
         assert np.array_equal(smooth_rows(x, length), want)
 
+    def test_no_rows(self):
+        out = median_smooth(FeatureMatrix(np.zeros((0, 5)), ()), 3)
+        assert out.data.shape == (0, 5) and out.labels == ()
+
     def test_blocks_match_one_block(self, rng, monkeypatch):
         x = rng.normal(size=(4, 300))
         whole = smooth_rows(x, 25)

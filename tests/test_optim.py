@@ -18,17 +18,18 @@ optim = importlib.import_module("pof.optim")
 
 def rowwise(fun, convex=None):
     """phi for minimize from fun(x) -> (f, g, H) of one row, with C from
-    convex(x), or C = H when convex is None. Rows where fun gives a
-    non-finite value come back as +inf."""
+    convex(x) at the rows asked for, or C = H when convex is None. Rows
+    where fun gives a non-finite value come back as +inf."""
     def phi(batch):
         _, X = batch
         n, d = X.shape
-        f, g, h, c = np.empty(n), np.empty((n, d)), np.empty((n, d, d)), np.empty((n, d, d))
+        f, g, h = np.empty(n), np.empty((n, d)), np.empty((n, d, d))
         for i, x in enumerate(X):
             f[i], g[i], h[i] = fun(x)
-            c[i] = h[i] if convex is None else convex(x)
         f[~np.isfinite(f)] = math.inf
-        return f, g, h, c
+        if convex is None:
+            return f, g, h, h
+        return f, g, h, lambda at: np.array([convex(X[i]) for i in at]).reshape(len(at), d, d)
     return phi
 
 
@@ -38,8 +39,9 @@ def per_row(*funs):
 
     def phi(batch):
         rows, X = batch
-        outs = [phis[i]((None, X[j:j + 1])) for j, i in enumerate(rows)]
-        return tuple(np.concatenate(parts) for parts in zip(*outs))
+        outs = [phis[i]((None, X[j:j + 1]))[:3] for j, i in enumerate(rows)]
+        f, g, h = (np.concatenate(parts) for parts in zip(*outs))
+        return f, g, h, h
     return phi
 
 
@@ -122,11 +124,60 @@ class TestMinimize:
         hess[0] += np.eye(4)
         hess[1] -= 2.0 * np.diag(np.diagonal(curv[1]))
         assert np.linalg.eigvalsh(hess[1]).min() < 0
-        step = optim._directions(hess, curv, grad)
+        asked = []
+        step = optim._directions(hess, lambda at: asked.append(at) or curv[at], grad,
+                                 np.arange(3))
         for i, m in enumerate((hess[0], curv[1], curv[2])):
             assert np.allclose(step[i], -np.linalg.solve(m, grad[i]), rtol=1e-12, atol=0.0)
-        # a descent direction on the row whose H has no factor
+        # a descent direction on the row whose H has no factor, the only
+        # row whose C is asked for
         assert grad[1] @ step[1] < 0
+        assert [list(at) for at in asked] == [[1]]
+        # the rows 2 and 1 of the stack alone: C is asked for by the row's
+        # place in the stack, and the steps are those of the whole stack
+        asked.clear()
+        some = optim._directions(hess, lambda at: asked.append(at) or curv[at], grad,
+                                 np.array([2, 1]))
+        assert np.array_equal(some, step[[2, 1]])
+        assert [list(at) for at in asked] == [[1]]
+
+    def test_stand_in_asked_only_where_factors_rejects_h(self, monkeypatch):
+        # each _factors call on a stack of H that rejects some rows is
+        # followed by one request for C at that many rows, each of whose
+        # scaled H numpy cannot factor, and then by the _factors call on
+        # their C; a stack that _factors passes asks for no C
+        events, factors = [], optim._factors
+        monkeypatch.setattr(optim, "_factors",
+                            lambda m: events.append(factors(m)) or events[-1].copy())
+        phi = rowwise(rosenbrock, rosenbrock_gauss_newton)
+
+        def seen(batch):
+            f, g, h, stand_in = phi(batch)
+
+            def asked(at):
+                for i in at:
+                    d = 1.0 / np.sqrt(np.abs(np.diagonal(h[i])))
+                    with pytest.raises(np.linalg.LinAlgError):
+                        np.linalg.cholesky(h[i] * d[:, None] * d[None, :])
+                events.append(at)
+                return stand_in(at)
+            return f, g, h, asked
+
+        X0 = np.array([[-1.2, 1.0], [0.0, 1.0], [2.0, -3.0], [0.5, 0.5], [-0.5, 2.0]])
+        res = minimize(seen, X0, free(2))
+        assert list(res.row_status) == ["converged"] * 5
+        i, asked = 0, 0
+        while i < len(events):
+            verdict = events[i]
+            if verdict.all():
+                i += 1
+                continue
+            at, again = events[i + 1], events[i + 2]
+            assert at.dtype != bool and again.dtype == bool
+            assert len(at) == len(again) == np.sum(~verdict)
+            asked += len(at)
+            i += 3
+        assert asked > 0
 
     def test_step_on_c_uses_scaled_c(self):
         # H has no Cholesky factor, so the step is the Newton step on C
@@ -136,7 +187,8 @@ class TestMinimize:
         hess = curv.copy()
         hess[0, 0] = -hess[0, 0]
         grad = np.array([1.0, -2.0, 3.0])
-        (step,) = optim._directions(hess[None], curv[None], grad[None])
+        (step,) = optim._directions(hess[None], lambda at: curv[None][at], grad[None],
+                                    np.arange(1))
         d = 1.0 / np.sqrt(np.diagonal(curv))
         expected = -d * np.linalg.solve(curv * d[:, None] * d[None, :], d * grad)
         assert np.array_equal(step, expected)
@@ -154,10 +206,11 @@ class TestMinimize:
         grad = rng.normal(size=(3, 4))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(hess[1], grad[1])
-        step = optim._directions(hess, hess, grad)
+        step = optim._directions(hess, hess, grad, np.arange(3))
         assert not np.any(np.isfinite(step[1]))
         for i in (0, 2):
-            alone = optim._directions(hess[i:i + 1], hess[i:i + 1], grad[i:i + 1])[0]
+            alone = optim._directions(hess[i:i + 1], hess[i:i + 1], grad[i:i + 1],
+                                      np.arange(1))[0]
             assert np.array_equal(step[i], alone)
 
     def test_row_whose_c_has_no_factor_is_kept(self):
