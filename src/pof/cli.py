@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 3 numerical failure. Diagnostics go to stderr; results to files or stdout.
 
 An optional flat key=value config file supplies defaults; explicit flags
-always win over the file, and the file wins over built-in defaults.
+always win over the file, and the file wins over built-in defaults. That
+precedence is applied once, in main, before the subcommand runs.
 """
 
 from __future__ import annotations
@@ -26,12 +27,22 @@ from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sampl
 from .mstep import EmConfig, fit
 from .nmf import load_nmf_model, nmf_expand, nmf_fit, save_nmf_model
 
+
+def non_negative_int(text) -> int:
+    """int(text), refused below 0: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 # key -> (type, default); flags override the file, the file overrides these.
+# A flag that sets a key takes its type from here (_setting).
 CONFIG_KEYS = {
     "L": (int, 50),
     "rel_tol": (float, 1e-4),
     "max_em_iters": (int, 200),
-    "seed": (int, 0),
+    "seed": (non_negative_int, 0),
     "n_fft": (int, 1024),
     "hop": (int, 512),
     "low_hz": (float, 400.0),
@@ -76,27 +87,15 @@ def parse_config_file(path) -> dict:
     return values
 
 
-class ResolvedConfig:
-    """Flag > config file > default, resolved once per invocation."""
-
-    def __init__(self, args):
-        self._file = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        self._args = args
-
-    def __getitem__(self, key):
-        typ, default = CONFIG_KEYS[key]
-        flag = getattr(self._args, key, None)
-        if flag is not None:
-            return typ(flag)
-        return self._file.get(key, default)
-
-    def em(self) -> EmConfig:
-        return EmConfig(
-            L=self["L"],
-            rel_tol=self["rel_tol"],
-            max_em_iters=self["max_em_iters"],
-            seed=self["seed"],
-        )
+def _resolve(args) -> None:
+    """Set args.<key> for every key of CONFIG_KEYS: the flag's value if one
+    was given, else the --config file's, else the default. args.flagged
+    holds the keys the flags set."""
+    file = parse_config_file(args.config) if args.config else {}
+    args.flagged = {key for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    for key, (_, default) in CONFIG_KEYS.items():
+        if key not in args.flagged:
+            setattr(args, key, file.get(key, default))
 
 
 def _load_spec_or_wav(path) -> Spectrogram | AudioClip:
@@ -121,123 +120,112 @@ def _info(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def cmd_stft(args) -> int:
-    cfg = ResolvedConfig(args)
-    stft = StftConfig(n_fft=cfg["n_fft"], hop=cfg["hop"])
+def cmd_stft(args) -> None:
+    stft = StftConfig(n_fft=args.n_fft, hop=args.hop)
     clip = load_wav(args.input)
     spec = stft_power(clip, stft) if args.power else stft_magnitude(clip, stft)
     save_spectrogram(spec, args.output)
     _info(f"wrote {args.output} (F={spec.n_bins}, T={spec.n_frames}, kind={spec.kind})")
-    return 0
 
 
-def cmd_train(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_train(args) -> None:
     spec = _concat_specs(args.inputs)
-    model, trace = fit(spec, cfg.em(), log_sink=_info)
+    em = EmConfig(L=args.L, rel_tol=args.rel_tol, max_em_iters=args.max_em_iters, seed=args.seed)
+    model, trace = fit(spec, em, log_sink=_info)
     save_model(model, args.output)
     _info(f"wrote {args.output} (F={model.n_bins}, L={model.n_filters}, "
           f"{len(trace)} EM iterations)")
-    return 0
 
 
-def cmd_encode(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_encode(args) -> None:
     spec = load_spectrogram(args.input)
     model = load_model(args.model)
-    results = infer_frames(spec, model, seed=cfg["seed"])
+    results = infer_frames(spec, model, seed=args.seed)
     dump_posteriors(results, args.output)
     _info(f"wrote {args.output} ({len(results)} frames) "
           f"{status_counts(r.status for r in results)}")
-    return 0
 
 
-def cmd_bwe(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_bwe(args) -> None:
     model = load_model(args.model)
     source = _load_spec_or_wav(args.input)
     mask = band_mask(model.n_bins, model.meta.sample_rate, model.meta.n_fft,
-                     cfg["low_hz"], cfg["high_hz"])
-    result = expand(source, model, mask, seed=cfg["seed"], mode=args.mode)
+                     args.low_hz, args.high_hz)
+    result = expand(source, model, mask, seed=args.seed, mode=args.mode)
     save_spectrogram(result.reconstructed, args.output)
     if args.dump_posteriors:
         records = [FrameResult(p, float("nan"), "bwe") for p in result.posteriors]
         dump_posteriors(records, args.dump_posteriors)
     _info(f"wrote {args.output} ({mask.size} observed bins of {model.n_bins}) "
           f"prior_mean={result.replaced} {status_counts(result.statuses)}")
-    return 0
 
 
-def cmd_nmf_train(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_nmf_train(args) -> None:
     spec = _concat_specs(args.inputs)
-    model, fit_result = nmf_fit(spec, cfg["K"], cfg["divergence"], seed=cfg["seed"],
-                                rel_tol=cfg["rel_tol"])
+    model, fit_result = nmf_fit(spec, args.K, args.divergence, seed=args.seed,
+                                rel_tol=args.rel_tol)
     save_nmf_model(model, args.output)
     _info(f"wrote {args.output} (K={model.K}, divergence={model.divergence}, "
           f"{len(fit_result.cost_trace)} costs, final={fit_result.cost_trace[-1]:.6g})")
-    return 0
 
 
-def cmd_nmf_bwe(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_nmf_bwe(args) -> None:
     model = load_nmf_model(args.model)
     spec = load_spectrogram(args.input)
-    mask = band_mask(model.n_bins, spec.sample_rate, spec.n_fft,
-                     cfg["low_hz"], cfg["high_hz"])
-    recon = nmf_expand(spec, model, mask, seed=cfg["seed"], rel_tol=cfg["rel_tol"])
+    mask = band_mask(model.n_bins, spec.sample_rate, spec.n_fft, args.low_hz, args.high_hz)
+    recon = nmf_expand(spec, model, mask, seed=args.seed, rel_tol=args.rel_tol)
     save_spectrogram(recon, args.output)
     _info(f"wrote {args.output}")
-    return 0
 
 
-def cmd_features(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_features(args) -> None:
     spec = load_spectrogram(args.input)
     counts = ""
     if args.mfcc:
-        feat = mfcc(spec, n_coeffs=cfg["n_mfcc"], n_mels=cfg["n_mels"])
+        feat = mfcc(spec, n_coeffs=args.n_mfcc, n_mels=args.n_mels)
     else:
         if not args.model:
             raise ValidationError("features needs -m MODEL or --mfcc")
         model = load_model(args.model)
-        results = infer_frames(spec, model, seed=cfg["seed"])
+        results = infer_frames(spec, model, seed=args.seed)
         feat = pofc(results)
         counts = " " + status_counts(r.status for r in results)
     if args.deltas:
         feat = add_deltas(feat)
     if args.smooth:
-        feat = median_smooth(feat, cfg["median_length"])
+        feat = median_smooth(feat, args.median_length)
     save_features_csv(feat, args.output)
     _info(f"wrote {args.output} ({feat.data.shape[0]} features x "
           f"{feat.data.shape[1]} frames){counts}")
-    return 0
 
 
-def cmd_eval_lsd(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_eval_lsd(args) -> None:
     a = load_spectrogram(args.a)
     b = load_spectrogram(args.b)
+    # the band applies only where a flag asks for it; the file and the
+    # defaults supply the other edge
     mask = None
-    if args.low_hz is not None or args.high_hz is not None:
-        mask = band_mask(a.n_bins, a.sample_rate, a.n_fft,
-                         cfg["low_hz"], cfg["high_hz"])
+    if args.flagged & {"low_hz", "high_hz"}:
+        mask = band_mask(a.n_bins, a.sample_rate, a.n_fft, args.low_hz, args.high_hz)
     print(log_spectral_distance(a, b, mask))
-    return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = ResolvedConfig(args)
+def cmd_synth(args) -> None:
     model = load_model(args.model)
-    spec, _ = sample(model, args.frames, cfg["seed"])
+    spec, _ = sample(model, args.frames, args.seed)
     save_spectrogram(spec, args.output)
     _info(f"wrote {args.output} (F={spec.n_bins}, T={spec.n_frames})")
-    return 0
+
+
+def _setting(p, key, *flags, **kwargs):
+    """Add flags that set the config key `key`, of CONFIG_KEYS' type; unset,
+    they leave None, for _resolve to fill in."""
+    p.add_argument(*flags, dest=key, type=CONFIG_KEYS[key][0], **kwargs)
 
 
 def _add_common(p, *, output=True):
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    _setting(p, "seed", "--seed", help=f"RNG seed (default {CONFIG_KEYS['seed'][1]})")
     if output:
         p.add_argument("-o", "--output", required=True, help="output path")
 
@@ -249,8 +237,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("stft", help="WAV -> POFS spectrogram")
     p.add_argument("input")
-    p.add_argument("--n-fft", dest="n_fft", type=int, default=None)
-    p.add_argument("--hop", type=int, default=None)
+    _setting(p, "n_fft", "--n-fft")
+    _setting(p, "hop", "--hop")
     p.add_argument("--power", action="store_true", help="write a power spectrogram")
     _add_common(p)
     p.set_defaults(func=cmd_stft)
@@ -261,11 +249,9 @@ def build_parser() -> _Parser:
                                    "solved to round-off, so only the EM loop has "
                                    "settings.")
     p.add_argument("inputs", nargs="+", help="POFS files; frames are concatenated")
-    p.add_argument("-L", dest="L", type=int, default=None, help="number of filters")
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None,
-                   help="stop when the bound grows by less than this share")
-    p.add_argument("--max-iters", dest="max_em_iters", type=int, default=None,
-                   help="EM iteration cap")
+    _setting(p, "L", "-L", help="number of filters")
+    _setting(p, "rel_tol", "--rel-tol", help="stop when the bound grows by less than this share")
+    _setting(p, "max_em_iters", "--max-iters", help="EM iteration cap")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -279,8 +265,8 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="POFS, or WAV at the model's sample rate "
                                  "(analysed at the model's n_fft, hop n_fft/2)")
     p.add_argument("-m", "--model", required=True)
-    p.add_argument("--low", dest="low_hz", type=float, default=None)
-    p.add_argument("--high", dest="high_hz", type=float, default=None)
+    _setting(p, "low_hz", "--low")
+    _setting(p, "high_hz", "--high")
     p.add_argument("--mode", choices=["log_domain", "mgf"], default="log_domain")
     p.add_argument("--dump-posteriors", help="optional JSON posterior dump path")
     _add_common(p)
@@ -288,17 +274,17 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nmf-train", help="fit an NMF baseline")
     p.add_argument("inputs", nargs="+")
-    p.add_argument("-K", dest="K", type=int, default=None)
-    p.add_argument("--divergence", choices=["kl", "is"], default=None)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
+    _setting(p, "K", "-K")
+    _setting(p, "divergence", "--divergence", choices=["kl", "is"])
+    _setting(p, "rel_tol", "--rel-tol")
     _add_common(p)
     p.set_defaults(func=cmd_nmf_train)
 
     p = sub.add_parser("nmf-bwe", help="bandwidth expansion with an NMF model")
     p.add_argument("input")
     p.add_argument("-m", "--model", required=True)
-    p.add_argument("--low", dest="low_hz", type=float, default=None)
-    p.add_argument("--high", dest="high_hz", type=float, default=None)
+    _setting(p, "low_hz", "--low")
+    _setting(p, "high_hz", "--high")
     _add_common(p)
     p.set_defaults(func=cmd_nmf_bwe)
 
@@ -308,16 +294,16 @@ def build_parser() -> _Parser:
     p.add_argument("--mfcc", action="store_true", help="extract MFCCs instead")
     p.add_argument("--deltas", action="store_true", help="append delta features")
     p.add_argument("--smooth", action="store_true", help="median-filter the features")
-    p.add_argument("--median-length", dest="median_length", type=int, default=None)
-    p.add_argument("--n-mfcc", dest="n_mfcc", type=int, default=None)
+    _setting(p, "median_length", "--median-length")
+    _setting(p, "n_mfcc", "--n-mfcc")
     _add_common(p)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("eval-lsd", help="log-spectral distance between two POFS files")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--low", dest="low_hz", type=float, default=None)
-    p.add_argument("--high", dest="high_hz", type=float, default=None)
+    _setting(p, "low_hz", "--low")
+    _setting(p, "high_hz", "--high")
     _add_common(p, output=False)
     p.set_defaults(func=cmd_eval_lsd)
 
@@ -337,7 +323,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _resolve(args)
+        args.func(args)
+        return 0
     except NumericalError as exc:
         print(f"pof: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -103,6 +103,8 @@ def mfcc(W: Spectrogram, n_coeffs: int = 13, n_mels: int = 40) -> FeatureMatrix:
     """
     if W.kind != "magnitude":
         raise ValidationError("mfcc expects a magnitude spectrogram")
+    if n_coeffs < 1 or n_mels < 1:
+        raise ValidationError(f"n_coeffs={n_coeffs} and n_mels={n_mels} must be >= 1")
     if n_coeffs > n_mels:
         raise ValidationError(f"n_coeffs={n_coeffs} must not exceed n_mels={n_mels}")
     fb = mel_filterbank(W.n_bins, W.sample_rate, W.n_fft, n_mels)

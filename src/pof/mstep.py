@@ -98,6 +98,8 @@ class EmConfig:
             raise ValidationError("rel_tol must be positive and finite")
         if self.L < 1 or self.max_em_iters < 1:
             raise ValidationError("L and max_em_iters must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def _observed(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
@@ -142,8 +144,9 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea):
     where Q_f is the part of Q that depends on row f. Returns phi (n,), inf
     for a row that is infeasible for the stored posteriors or whose
     reconstruction overflows; the gradient (n, L) and the Hessian (n, L, L),
-    both NaN for a row that is infeasible; and the Hessian again: it is
-    positive semidefinite, so it is its own convex stand-in C for minimize.
+    both NaN for a row that is infeasible; and, as minimize's convex
+    stand-in C, the Hessian at the positions asked for: it is positive
+    semidefinite.
     """
     L = u.shape[1]
     ok = np.all(u > -stats.rho.min(axis=1), axis=1)
@@ -165,7 +168,7 @@ def _u_rows_phi(u, w, stats: SufficientStats, sum_ea):
         hess[:, np.arange(L), np.arange(L)] += np.einsum("mlt,mt->ml", g, recon)
     phi[~(ok & np.isfinite(phi))] = math.inf
     grad[~ok], hess[~ok] = math.nan, math.nan
-    return phi, grad, hess, hess
+    return phi, grad, hess, lambda at: hess[at]
 
 
 def _solve_shape(c: np.ndarray) -> np.ndarray:

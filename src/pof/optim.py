@@ -15,17 +15,16 @@ other, and the rows in flight, not n, set the memory a solve needs.
 phi takes one argument, the pair (rows, X): the indices (m,) of the rows
 to evaluate and their points X (m, d). It returns for exactly those rows
 the value (m,), gradient (m, d), Hessian H (m, d, d) and a
-positive-semidefinite stand-in C for H: a phi whose H is positive
-semidefinite everywhere returns the H array itself; any other returns a
-function of positions in the evaluation (an index array into its m rows)
-that gives C (k, d, d) at those rows, which minimize calls, before the
-next phi call, only for rows whose scaled H has no Cholesky factor; the
-function sets its own errstate. A row that is infeasible, or whose value
-or derivatives are not finite, has value +inf, and its derivatives are
-not read. A row needs a finite Hessian: where a finite value comes with
-an H that is not finite (1/x**2 overflows at x = 1e-200), the row gets no
-finite step, and it ends ZERO_PROGRESS at its start, or
-line_search_failed after earlier progress.
+positive-semidefinite stand-in C for H: a function of positions in the
+evaluation (an index array into its m rows) that gives C (k, d, d) at
+those rows, which minimize calls, before the next phi call, only for rows
+whose scaled H has no Cholesky factor; the function sets its own
+errstate. A row that is infeasible, or whose value or derivatives are not
+finite, has value +inf, and its derivatives are not read. A row needs a
+finite Hessian: where a finite value comes with an H that is not finite
+(1/x**2 overflows at x = 1e-200), the row gets no finite step, and it
+ends ZERO_PROGRESS at its start, or line_search_failed after earlier
+progress.
 
 Direction. Each row's direction is found from the evaluation that produced
 its point; no H, C or gradient is kept beyond it. Each row's Hessian is
@@ -33,14 +32,13 @@ Jacobi-scaled, D = 1/sqrt(|diag H|). Where D H D has a Cholesky factor the
 step is the Newton step on H. Otherwise it is the Newton step on C, scaled
 by its own diagonal, which is a descent direction wherever C is positive
 definite; where C has no Cholesky factor either, or where the solve meets
-an exact zero pivot, the step is not finite.
-Where phi returns H itself as C, a row whose H has no factor is not
-factored again. When every row of an evaluation steps, its stacks are read
-in place; otherwise the rows that step are gathered first. A stack is
-factored in one batched call that marks each matrix with no factor, and
-solved in one more, whose rows with no factor are then set to NaN; so
-which rule a row gets, and every reduction, depends on that row only, and
-a row's result does not depend on the rows that share its evaluations.
+an exact zero pivot, the step is not finite. When every row of an
+evaluation steps, its stacks are read in place; otherwise the rows that
+step are gathered first. A stack is factored in one batched call that
+marks each matrix with no factor, and solved in one more, whose rows with
+no factor are then set to NaN; so which rule a row gets, and every
+reduction, depends on that row only, and a row's result does not depend on
+the rows that share its evaluations.
 
 Step. Each row runs its own backtrack: its first trial is the full step,
 or _BARRIER_FRACTION of the way to the box when the full step would leave
@@ -133,20 +131,18 @@ def _factors(m: np.ndarray) -> np.ndarray:
 
 
 def _directions(hess: np.ndarray, curv, grad: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The Newton steps of the rows at of an evaluation, from its stacks
-    hess and grad: on a row's H where its scaled H has a Cholesky factor,
-    else on its C. curv is hess where H is its own stand-in, else the
-    function of positions in the evaluation that returns C, called only for
-    the rows whose H has no factor. A step is not finite where neither has
-    a factor, or where LU meets an exact zero pivot (the gufunc behind
-    np.linalg.solve then leaves NaN instead of raising). Where at is every
-    row, the stacks are read in place."""
-    own = curv is hess
+    """The Newton steps of the rows at of an evaluation, from its stacks hess
+    and grad: on a row's H where its scaled H has a Cholesky factor, else
+    on its C. curv is the function of positions in the evaluation that
+    returns C, called only for the rows whose H has no factor. A step is
+    not finite where neither has a factor, or where LU meets an exact zero
+    pivot (the gufunc behind np.linalg.solve then leaves NaN instead of
+    raising). Where at is every row, the stacks are read in place."""
     if at.size < len(hess):
         hess, grad = hess[at], grad[at]
     m, scale = _jacobi(hess)
     ok = _factors(m)
-    if not (own or ok.all()):
+    if not ok.all():
         bad = np.flatnonzero(~ok)
         m[bad], scale[bad] = _jacobi(curv(at[bad]))
         ok[bad] = _factors(m[bad])

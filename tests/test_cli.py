@@ -428,3 +428,126 @@ def test_malformed_pofs_header_is_exit_2(rng, tmp_path, capsys, offset, field, m
     assert main(["bwe", str(path), "-m", write_tiny_model(tmp_path / "m.json", rng),
                  "-o", str(tmp_path / "out.pofs")]) == 2
     assert message in capsys.readouterr().err
+
+
+SUBCOMMANDS = ["stft", "train", "encode", "bwe", "nmf-train", "nmf-bwe", "features",
+               "eval-lsd", "synth"]
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_subcommand_help_is_exit_0(capsys, subcommand):
+    assert main([subcommand, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: pof {subcommand} ")
+
+
+# seeded subcommand -> its argv on the files of seeded_inputs
+SEEDED = {
+    "synth": ["synth", "-m", "{model}", "-T", "2", "-o", "{out}"],
+    "encode": ["encode", "{spec}", "-m", "{model}", "-o", "{out}"],
+    "train": ["train", "{spec}", "-L", "1", "--max-iters", "1", "-o", "{out}"],
+    "bwe": ["bwe", "{spec}", "-m", "{model}", "-o", "{out}"],
+    "nmf-train": ["nmf-train", "{spec}", "-K", "1", "-o", "{out}"],
+    "nmf-bwe": ["nmf-bwe", "{spec}", "-m", "{nmf}", "-o", "{out}"],
+    "features": ["features", "{spec}", "-m", "{model}", "-o", "{out}"],
+}
+
+
+@pytest.mark.parametrize("subcommand", SEEDED)
+@pytest.mark.parametrize("source, code, message", [
+    ("flag", 1, "argument --seed: invalid non_negative_int value: '-1'"),
+    ("file", 2, "pof: config line 1: expected a non-negative integer, got '-1'"),
+], ids=["flag", "file"])
+def test_negative_seed_is_refused(rng, tmp_path, capsys, subcommand, source, code, message):
+    # numpy's generators take no negative seed; the refusal comes before any
+    # input is read
+    paths = {"model": write_tiny_model(tmp_path / "model.json", rng),
+             "nmf": write_tiny_nmf_model(tmp_path / "nmf.json", rng),
+             "spec": write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3))),
+             "out": str(tmp_path / "out")}
+    (tmp_path / "pof.cfg").write_text("seed=-1\n")
+    extra = ["--seed", "-1"] if source == "flag" else ["--config", str(tmp_path / "pof.cfg")]
+    assert main([a.format(**paths) for a in SEEDED[subcommand]] + extra) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mfcc_without_coefficients_is_exit_2(rng, tmp_path, capsys):
+    # a header-only CSV would be refused by load_features_csv
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    out = tmp_path / "feat.csv"
+    assert main(["features", spec, "--mfcc", "--n-mfcc", "0", "-o", str(out)]) == 2
+    assert "n_coeffs=0 and n_mels=40 must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_features_without_model_or_mfcc_is_exit_2(rng, tmp_path, capsys):
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    assert main(["features", spec, "-o", str(tmp_path / "feat.csv")]) == 2
+    assert "features needs -m MODEL or --mfcc" in capsys.readouterr().err
+
+
+def test_train_on_two_inputs_matches_one_concatenated(rng, tmp_path):
+    data = rng.lognormal(size=(F, 12))
+    a = write_spec(tmp_path / "a.pofs", data[:, :5])
+    b = write_spec(tmp_path / "b.pofs", data[:, 5:])
+    ab = write_spec(tmp_path / "ab.pofs", data)
+    settings = ["-L", "2", "--max-iters", "2"]
+    assert main(["train", a, b, *settings, "-o", str(tmp_path / "two.json")]) == 0
+    assert main(["train", ab, *settings, "-o", str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "nmf-train"])
+@pytest.mark.parametrize("field, value", [("data", np.ones((F + 1, 3))), ("kind", "power"),
+                                          ("sample_rate", 2 * RATE), ("n_fft", 2 * N_FFT),
+                                          ("hop", N_FFT // 4)],
+                         ids=["bins", "kind", "rate", "n_fft", "hop"])
+def test_training_inputs_that_disagree_are_exit_2(tmp_path, capsys, command, field, value):
+    framing = {"data": np.ones((F, 3)), "kind": "magnitude", "sample_rate": RATE,
+               "n_fft": N_FFT, "hop": N_FFT // 2}
+    save_spectrogram(Spectrogram(**framing), tmp_path / "a.pofs")
+    save_spectrogram(Spectrogram(**{**framing, field: value}), tmp_path / "b.pofs")
+    out = tmp_path / "m.json"
+    assert main([command, str(tmp_path / "a.pofs"), str(tmp_path / "b.pofs"),
+                 "-o", str(out)]) == 2
+    assert "training inputs disagree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_with_comments_and_blank_lines(rng, tmp_path):
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 6)))
+    config = tmp_path / "pof.cfg"
+    config.write_text("# a small fit\n\n  L = 1   # one filter\n\t\nmax_em_iters=2\n# seed=9\n")
+    assert main(["train", spec, "--config", str(config), "-o", str(tmp_path / "file.json")]) == 0
+    assert main(["train", spec, "-L", "1", "--max-iters", "2",
+                 "-o", str(tmp_path / "flags.json")]) == 0
+    assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flags.json").read_bytes()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("L", "config line 3: expected key=value, got 'L'"),
+    ("L=abc", "config line 3: invalid literal for int() with base 10: 'abc'"),
+], ids=["no_equals", "not_an_int"])
+def test_malformed_config_line_is_exit_2(rng, tmp_path, capsys, line, message):
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
+    config = tmp_path / "pof.cfg"
+    config.write_text(f"# settings\n\n{line}\n")
+    assert main(["train", spec, "--config", str(config), "-o", str(tmp_path / "m.json")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, band", [
+    ([], None), (["--low", "400"], (400.0, 2000.0)), (["--high", "3400"], (1000.0, 3400.0)),
+    (["--low", "400", "--high", "3400"], (400.0, 3400.0)),
+], ids=["none", "low", "high", "both"])
+def test_eval_lsd_band_only_from_flags(rng, tmp_path, capsys, flags, band):
+    # the file's edges never switch the band on, but fill in the edge the
+    # flags leave out
+    a = write_spec(tmp_path / "a.pofs", rng.lognormal(size=(F, 4)))
+    b = write_spec(tmp_path / "b.pofs", rng.lognormal(size=(F, 4)))
+    config = tmp_path / "pof.cfg"
+    config.write_text("low_hz=1000\nhigh_hz=2000\n")
+    assert main(["eval-lsd", a, b, "--config", str(config), *flags]) == 0
+    mask = band_mask(F, RATE, N_FFT, *band) if band else None
+    want = log_spectral_distance(load_spectrogram(a), load_spectrogram(b), mask)
+    assert float(capsys.readouterr().out) == want

@@ -85,6 +85,14 @@ class TestMfcc:
         with pytest.raises(ValidationError):
             mfcc(W)
 
+    @pytest.mark.parametrize("n_coeffs, n_mels", [(0, 40), (13, 0), (-1, 40)])
+    def test_no_coefficients_or_no_mel_bands(self, rng, n_coeffs, n_mels):
+        # a matrix with no rows would be written as a CSV that
+        # load_features_csv refuses
+        W = spec_of(rng.lognormal(size=(513, 4)))
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            mfcc(W, n_coeffs=n_coeffs, n_mels=n_mels)
+
 
 class TestAddDeltas:
     def test_constant_sequence(self):

@@ -270,7 +270,7 @@ class TestURowNewton:
     @given(data=st.data(), L=st.integers(1, 4), T=st.integers(1, 5))
     def test_hessian_is_psd(self, data, L, T):
         # the row objective is convex, which is why its Hessian serves as
-        # its own stand-in C in minimize
+        # its own stand-in C in minimize: C is H, bitwise, at every row
         def arrays(shape, lo, hi):
             return data.draw(hnp.arrays(float, shape, elements=st.floats(lo, hi)))
 
@@ -279,7 +279,8 @@ class TestURowNewton:
         W = arrays((3, T), 1e-6, 1e6)
         U = -stats.rho.min(axis=1) + arrays((3, L), 1e-6, 1e3)
         _, _, hess, curv = _u_rows_phi(U, W, stats, stats.expect_a.sum(axis=1))
-        assert curv is hess
+        for at in (np.arange(3), np.array([2, 0])):
+            assert np.array_equal(curv(at), hess[at], equal_nan=True)
         for h in hess[np.all(np.isfinite(hess), axis=(1, 2))]:
             assert np.linalg.eigvalsh(h).min() >= -1e-12 * np.abs(h).max()
 
@@ -456,6 +457,11 @@ class TestFit:
         W = Spectrogram(np.ones((4, 1)), "magnitude", 16000, 1024, 512)
         with pytest.raises(ValidationError):
             fit(W, EmConfig(L=2))
+
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            EmConfig(seed=-1)
 
 
 def heldout_bound(spec, model):

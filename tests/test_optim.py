@@ -28,7 +28,7 @@ def rowwise(fun, convex=None):
             f[i], g[i], h[i] = fun(x)
         f[~np.isfinite(f)] = math.inf
         if convex is None:
-            return f, g, h, h
+            return f, g, h, lambda at: h[at]
         return f, g, h, lambda at: np.array([convex(X[i]) for i in at]).reshape(len(at), d, d)
     return phi
 
@@ -41,7 +41,7 @@ def per_row(*funs):
         rows, X = batch
         outs = [phis[i]((None, X[j:j + 1]))[:3] for j, i in enumerate(rows)]
         f, g, h = (np.concatenate(parts) for parts in zip(*outs))
-        return f, g, h, h
+        return f, g, h, lambda at: h[at]
     return phi
 
 
@@ -206,11 +206,11 @@ class TestMinimize:
         grad = rng.normal(size=(3, 4))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(hess[1], grad[1])
-        step = optim._directions(hess, hess, grad, np.arange(3))
+        step = optim._directions(hess, lambda at: hess[at], grad, np.arange(3))
         assert not np.any(np.isfinite(step[1]))
         for i in (0, 2):
-            alone = optim._directions(hess[i:i + 1], hess[i:i + 1], grad[i:i + 1],
-                                      np.arange(1))[0]
+            alone = optim._directions(hess[i:i + 1], lambda at: hess[i:i + 1][at],
+                                      grad[i:i + 1], np.arange(1))[0]
             assert np.array_equal(step[i], alone)
 
     def test_row_whose_c_has_no_factor_is_kept(self):
