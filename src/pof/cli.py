@@ -223,9 +223,12 @@ def _setting(p, key, *flags, **kwargs):
     p.add_argument(*flags, dest=key, type=CONFIG_KEYS[key][0], **kwargs)
 
 
-def _add_common(p, *, output=True):
+def _add_common(p, *, output=True, seed=True):
+    """--config; --seed where the subcommand draws random numbers (a config
+    file's seed= line is valid for every subcommand); -o if output."""
     p.add_argument("--config", help="flat key=value config file")
-    _setting(p, "seed", "--seed", help=f"RNG seed (default {CONFIG_KEYS['seed'][1]})")
+    if seed:
+        _setting(p, "seed", "--seed", help=f"RNG seed (default {CONFIG_KEYS['seed'][1]})")
     if output:
         p.add_argument("-o", "--output", required=True, help="output path")
 
@@ -240,7 +243,7 @@ def build_parser() -> _Parser:
     _setting(p, "n_fft", "--n-fft")
     _setting(p, "hop", "--hop")
     p.add_argument("--power", action="store_true", help="write a power spectrogram")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_stft)
 
     p = sub.add_parser("train", help="fit a product-of-filters model",
@@ -304,7 +307,7 @@ def build_parser() -> _Parser:
     p.add_argument("b")
     _setting(p, "low_hz", "--low")
     _setting(p, "high_hz", "--high")
-    _add_common(p, output=False)
+    _add_common(p, output=False, seed=False)
     p.set_defaults(func=cmd_eval_lsd)
 
     p = sub.add_parser("synth", help="sample a synthetic spectrogram from a model")

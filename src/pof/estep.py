@@ -77,7 +77,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import FramePosterior, PoFModel, check_spectrum
+from .model import FramePosterior, PoFModel, check_seed, check_spectrum
 from .optim import FAILED_START, ZERO_PROGRESS, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
@@ -318,10 +318,10 @@ def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.
 def _default_starts(model: PoFModel, seed: int, frames) -> np.ndarray:
     """The default starts (nu, rho) of the frames, one row each (see
     default_posterior_init), each drawn from its frame's own stream."""
-    L = model.n_filters
+    seed, L = check_seed(seed), model.n_filters
     x = np.empty((len(frames), 2 * L))
     for row, t in zip(x, frames):
-        rng = np.random.default_rng([int(seed), _STREAM_EINIT, int(t)])
+        rng = np.random.default_rng([seed, _STREAM_EINIT, int(t)])
         row[:L] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
         row[L:] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
     rho_min = np.maximum(0.0, -model.U.min(axis=0))
@@ -384,12 +384,14 @@ def infer_frames(
     """Independent per-frame inference over a spectrogram.
 
     Observations are floored on entry. Frame t starts from init[t], or from
-    default_posterior_init(model, seed, t). A frame whose start is
-    infeasible keeps it, with bound -inf and status FAILED_START. threads
-    is accepted and ignored: the frames are solved as one batched working
-    set in one thread. It remains for callers written for the
-    former thread-pool E-step, such as the benchmark, until they drop it.
+    default_posterior_init(model, seed, t); seed must be >= 0 either way. A
+    frame whose start is infeasible keeps it, with bound -inf and status
+    FAILED_START. threads is accepted and ignored: the frames are solved as
+    one batched working set in one thread. It remains for callers written
+    for the former thread-pool E-step, such as the benchmark, until they
+    drop it.
     """
+    check_seed(seed)
     data = floor_observations(W)
     if data.shape[0] != model.n_bins:
         raise ValidationError(

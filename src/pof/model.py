@@ -30,6 +30,7 @@ __all__ = [
     "FramePosterior",
     "Spectrogram",
     "check_spectrum",
+    "check_seed",
     "BandMask",
     "sample",
     "save_model",
@@ -202,6 +203,14 @@ def check_spectrum(W) -> np.ndarray:
     return data
 
 
+def check_seed(seed) -> int:
+    """seed as an int; ValidationError if it is negative, which numpy's
+    generators refuse."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    return int(seed)
+
+
 def sample(model: PoFModel, T: int, seed: int) -> tuple[Spectrogram, np.ndarray]:
     """Draw T synthetic frames from the generative model.
 
@@ -211,7 +220,7 @@ def sample(model: PoFModel, T: int, seed: int) -> tuple[Spectrogram, np.ndarray]
     """
     if T < 1:
         raise ValidationError("T must be >= 1")
-    rng = np.random.default_rng([int(seed), 0x5A17])
+    rng = np.random.default_rng([check_seed(seed), 0x5A17])
     alpha = model.alpha[:, None]
     a = rng.gamma(shape=np.broadcast_to(alpha, (model.n_filters, T)),
                   scale=1.0 / alpha)

@@ -28,8 +28,12 @@ time:
     its U and gamma while the other rows' gamma is updated.
 
 Block order is U, alpha, gamma; each block only ever improves Q (all three
-are solved to round-off), so the whole M-step is monotone and fit()'s ELBO
-trace is non-decreasing.
+are solved to round-off), so the whole M-step is monotone. fit() puts the
+PX-EM rescale (_px_rescale) before each M-step: every filter l is scaled to
+unit mean activation, U[:, l] *= m_l and rho_lt *= m_l with
+m_l = mean_t nu_lt / rho_lt. The likelihood is unchanged and the bound rises
+by sum_l T alpha_l (m_l - 1 - log m_l) >= 0, so it cannot fall either, and
+fit()'s ELBO trace is non-decreasing.
 
 Every function here that takes W floors it on entry (_observed); the W
 that fit passes on is floored already and comes through unchanged.
@@ -46,7 +50,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .estep import floor_observations, infer_frames, status_counts
-from .model import FramePosterior, ModelMeta, PoFModel, Spectrogram, check_spectrum
+from .model import (FramePosterior, ModelMeta, PoFModel, Spectrogram, check_seed,
+                    check_spectrum)
 from .optim import minimize
 from .specfn import _digamma, _shape_eq
 
@@ -98,8 +103,7 @@ class EmConfig:
             raise ValidationError("rel_tol must be positive and finite")
         if self.L < 1 or self.max_em_iters < 1:
             raise ValidationError("L and max_em_iters must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 def _observed(W, model: PoFModel, stats: SufficientStats) -> np.ndarray:
@@ -236,6 +240,24 @@ def mstep(
     return PoFModel(U_new, alpha_new, gamma_new, model.meta)
 
 
+def _px_rescale(
+    model: PoFModel, posteriors: list[FramePosterior],
+) -> tuple[np.ndarray, PoFModel, list[FramePosterior]]:
+    """The PX-EM step: each filter rescaled to unit mean activation.
+
+    Returns m_l = mean_t nu_lt / rho_lt, the model with U[:, l] scaled by
+    m_l and the posteriors with rho_lt scaled by m_l. The likelihood sees U
+    and a only through U_fl a_lt, whose mean U_fl nu_lt / rho_lt and
+    distribution are unchanged, so the bound changes only in each filter's
+    prior and entropy terms, by T alpha_l (m_l - 1 - log m_l) >= 0. The box
+    rho_lt > -min_f U_fl scales by m_l > 0, so feasibility is kept, and a
+    row of U that is 0 stays 0.
+    """
+    m = np.mean([p.mean() for p in posteriors], axis=0)
+    return (m, PoFModel(model.U * m, model.alpha, model.gamma, model.meta),
+            [FramePosterior(p.nu, p.rho * m) for p in posteriors])
+
+
 def fit(
     W,
     cfg: EmConfig = EmConfig(),
@@ -253,12 +275,22 @@ def fit(
     computed, and the time of that M-step is not logged.
 
     Each iteration runs the E-step (infer_frames, warm-started from the
-    previous posteriors), then one mstep.
+    previous posteriors), then the PX-EM rescale (_px_rescale; Liu, Rubin &
+    Wu, "Parameter expansion to accelerate EM", Biometrika 1998), then one
+    mstep on the rescaled model and statistics; the next E-step starts from
+    the rescaled posteriors. The model sees U and a only through U a, so the
+    prior's Gamma(alpha, alpha) pins each filter's mean activation at 1 but
+    plain EM moves the scale of U towards it only slowly; the rescale moves
+    it there at once and raises the bound by
+    sum_l T alpha_l (m_l - 1 - log m_l) >= 0, so the trace stays monotone.
     log_sink, when given, receives one formatted line per EM iteration: the
     bound, its growth, the E-step seconds (secs=), the seconds of the
     M-step that produced this iteration's model (mstep_secs=, 0 at first),
-    and how many of the E-step's frames ended with each status (converged=,
-    max_iters=, line_search_failed=, zero_progress=, failed_start=).
+    the smallest and largest rescale factor m_l of this E-step's posteriors
+    (scale_min=, scale_max=: far from 1, the scale of U is drifting; near
+    0, a filter is unused), and how many of the E-step's frames ended with
+    each status (converged=, max_iters=, line_search_failed=,
+    zero_progress=, failed_start=).
     """
     raw = check_spectrum(W)
     if raw.shape[1] < 2:
@@ -294,18 +326,20 @@ def fit(
         total = float(sum(r.elbo for r in results))
         trace.append(total)
         delta = total - prev if prev is not None else math.nan
+        secs = time.perf_counter() - t0
+        scale, px_model, warm = _px_rescale(model, [r.posterior for r in results])
         if log_sink is not None:
             log_sink(
                 f"iter={it} elbo={total:.10e} delta={delta:.6e} "
-                f"secs={time.perf_counter() - t0:.3f} mstep_secs={mstep_secs:.3f} "
+                f"secs={secs:.3f} mstep_secs={mstep_secs:.3f} "
+                f"scale_min={scale.min():.6g} scale_max={scale.max():.6g} "
                 f"{status_counts(r.status for r in results)}"
             )
         if prev is not None and total - prev <= cfg.rel_tol * abs(prev):
             break
         prev = total
-        warm = [r.posterior for r in results]
         stats = SufficientStats.from_posteriors(warm)
         t0 = time.perf_counter()
-        model = mstep(data, model, stats, frozen_rows=zero_rows)
+        model = mstep(data, px_model, stats, frozen_rows=zero_rows)
         mstep_secs = time.perf_counter() - t0
     return model, trace

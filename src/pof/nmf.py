@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import BandMask, Spectrogram, _read_json_doc, _write_json_doc, check_spectrum
+from .model import (BandMask, Spectrogram, _read_json_doc, _write_json_doc, check_seed,
+                    check_spectrum)
 
 __all__ = [
     "NmfModel",
@@ -162,7 +163,7 @@ def nmf_fit(
     if K > min(F, T):
         logger.warning("K=%d exceeds min(F, T)=%d; factorization is overcomplete",
                        K, min(F, T))
-    rng = np.random.default_rng([int(seed), _STREAM_NMF])
+    rng = np.random.default_rng([check_seed(seed), _STREAM_NMF])
     V = rng.uniform(0.1, 1.1, (F, K))
     H = rng.uniform(0.1, 1.1, (K, T))
     V, H, trace = _run_updates(data, V, H, divergence, rel_tol, max_iters, update_v=True)
@@ -186,7 +187,7 @@ def nmf_encode(
         raise ValidationError("masked dictionary has an all-zero column")
     data = mask.select(check_spectrum(W_bl), model.n_bins)
     T = data.shape[1]
-    rng = np.random.default_rng([int(seed), _STREAM_NMF, 1])
+    rng = np.random.default_rng([check_seed(seed), _STREAM_NMF, 1])
     H = rng.uniform(0.1, 1.1, (model.K, T))
     _, H, _ = _run_updates(data, V_bl, H, model.divergence, rel_tol, _MAX_ITERS,
                            update_v=False)

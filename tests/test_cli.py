@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import struct
 import subprocess
@@ -268,6 +269,7 @@ def test_train_on_a_huge_bin_exits_zero(tmp_path):
 
 def test_train_logs_frame_status_counts(rng, tmp_path, capsys):
     # every EM iteration's stderr line counts the E-step's frames by status
+    # and gives the spread of the PX-EM factors, the filters' mean activations
     T = 12
     spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, T)))
     assert main(["train", spec, "-L", "2", "--max-iters", "3",
@@ -282,6 +284,7 @@ def test_train_logs_frame_status_counts(rng, tmp_path, capsys):
         counts = {name: int(fields[name]) for name in statuses}
         assert sum(counts.values()) == T
         assert counts["converged"] == T
+        assert 0.0 < float(fields["scale_min"]) <= float(fields["scale_max"]) < math.inf
 
 
 def test_encode_and_bwe_log_frame_status_counts(rng, tmp_path, capsys, monkeypatch):
@@ -469,6 +472,43 @@ def test_negative_seed_is_refused(rng, tmp_path, capsys, subcommand, source, cod
     assert main([a.format(**paths) for a in SEEDED[subcommand]] + extra) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _outputs(argv, out, capsys):
+    """The exit code, stdout and output file bytes of one main call."""
+    code = main(argv)
+    return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
+
+
+# subcommands that draw no random number -> their argv
+UNSEEDED = {
+    "stft": ["stft", "{wav}", "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2), "-o", "{out}"],
+    "eval-lsd": ["eval-lsd", "{spec}", "{spec}"],
+}
+
+
+@pytest.mark.parametrize("subcommand", [*SEEDED, *UNSEEDED])
+def test_seed_flag_only_where_random_numbers_are_drawn(rng, tmp_path, capsys, subcommand):
+    # --seed 0 and a config file's seed= line are accepted where a random
+    # number is drawn and change nothing at the default; elsewhere the flag
+    # is refused and the file's seed= line changes nothing
+    paths = {"model": write_tiny_model(tmp_path / "model.json", rng),
+             "nmf": write_tiny_nmf_model(tmp_path / "nmf.json", rng),
+             "spec": write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3))),
+             "wav": write_wav(tmp_path / "in.wav", 0.3 * rng.normal(size=8 * 5)),
+             "out": str(tmp_path / "out")}
+    seeded = subcommand in SEEDED
+    argv = [a.format(**paths) for a in (SEEDED if seeded else UNSEEDED)[subcommand]]
+    (tmp_path / "pof.cfg").write_text(f"seed={0 if seeded else 1}\n")
+    plain = _outputs(argv, tmp_path / "out", capsys)
+    assert plain[0] == 0
+    assert _outputs(argv + ["--config", str(tmp_path / "pof.cfg")],
+                    tmp_path / "out", capsys) == plain
+    if seeded:
+        assert _outputs(argv + ["--seed", "0"], tmp_path / "out", capsys) == plain
+    else:
+        assert main(argv + ["--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_mfcc_without_coefficients_is_exit_2(rng, tmp_path, capsys):

@@ -114,6 +114,22 @@ def test_entry_points_reject_malformed_spectra(rng, entry, case):
         call(malformed_spectrum(rng, case))
 
 
+@pytest.mark.parametrize("entry", ["sample", "nmf_fit", "nmf_encode", "infer_frames"])
+def test_entry_points_reject_negative_seed(rng, entry):
+    # numpy's generators take no negative seed; the refusal is ours
+    model = random_model(rng, 6, 2)
+    W = rng.lognormal(size=(6, 5))
+    nmf = NmfModel(rng.uniform(0.1, 1.0, size=(6, 2)), "kl")
+    call = {
+        "sample": lambda: sample(model, 2, -1),
+        "nmf_fit": lambda: nmf_fit(W, 1, "kl", seed=-1),
+        "nmf_encode": lambda: nmf_encode(W, nmf, BandMask(np.arange(6)), seed=-1),
+        "infer_frames": lambda: infer_frames(W, model, seed=-1),
+    }[entry]
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        call()
+
+
 class TestSample:
     def test_activation_prior_mean(self, rng):
         model = random_model(rng, 2, 3)

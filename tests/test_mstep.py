@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationError,
                  elbo, fit, mstep, sample)
 from pof.estep import floor_observations, infer_frames
-from pof.mstep import SufficientStats, _alpha_c, _solve_shape, _u_rows_phi
+from pof.mstep import SufficientStats, _alpha_c, _px_rescale, _solve_shape, _u_rows_phi
 from pof.specfn import _shape_eq
 from conftest import (central_diff, huge_bin_problem, q_oracle,
                       random_feasible_posterior, random_model)
@@ -424,6 +424,28 @@ class TestFit:
         for a, b in zip(trace1, trace1[1:]):
             assert b >= a - 1e-9 * abs(a)
 
+    def test_px_rescale_raises_the_bound_by_its_identity(self, rng):
+        # the rescale alone gives each filter unit mean activation and raises
+        # the bound by sum_l T alpha_l (m_l - 1 - log m_l) >= 0; posteriors
+        # stay feasible and a zero row of U stays zero
+        for _ in range(5):
+            W, model, posts = random_posteriors(rng, F=8, L=3, T=6)
+            U = model.U.copy()
+            U[2] = 0.0
+            model = PoFModel(U, model.alpha, model.gamma)
+            s = rng.lognormal(0.0, 1.0, size=3)
+            posts = [FramePosterior(p.nu * s, p.rho) for p in posts]
+            m, px_model, px_posts = _px_rescale(model, posts)
+            before = sum(elbo(W[:, t], model, p) for t, p in enumerate(posts))
+            after = sum(elbo(W[:, t], px_model, p) for t, p in enumerate(px_posts))
+            gain = W.shape[1] * np.sum(model.alpha * (m - 1.0 - np.log(m)))
+            assert after >= before - 1e-12 * abs(before)
+            assert after - before == pytest.approx(gain, rel=1e-9, abs=1e-12 * abs(before))
+            assert np.allclose(np.mean([p.mean() for p in px_posts], axis=0), 1.0,
+                               rtol=1e-14, atol=0.0)
+            assert np.array_equal(px_model.U[2], np.zeros(3))
+            assert all(np.all(p.rho > -px_model.U.min(axis=0)) for p in px_posts)
+
     def test_training_log_lines(self, rng):
         model_true = random_model(rng, 8, 2)
         spec, _ = sample(model_true, 20, seed=4)
@@ -484,11 +506,11 @@ def worst_filter_match(U_true, U_learned):
 
 class TestFitRecovery:
     # F=16, L=3, 400 held-out frames, fits to T=40 and T=160 frames. Seeds
-    # 0-9 measured: the T=160 gap is 3.0-21x below the T=40 one (0.0049-0.030
-    # nats against 0.058-0.113); the worst match at T=160 is 0.846-0.972 for
-    # seeds 0-4, and 0.39 for seed 8, whose fit converges to a local optimum
-    # that splits one true filter over two learned ones.
-    @pytest.mark.parametrize("seed", range(5))
+    # 0-9 measured: the T=160 gap is 4.7-30x below the T=40 one (0.0034-0.017
+    # nats against 0.057-0.115); the worst match at T=160 is 0.826-0.968.
+    # Without the PX-EM rescale, seed 8's fit converged to a local optimum
+    # that split one true filter over two learned ones (worst match 0.39).
+    @pytest.mark.parametrize("seed", range(10))
     def test_fit_recovers_generating_model(self, seed):
         true = random_model(np.random.default_rng(100 + seed), 16, 3)
         heldout, _ = sample(true, 400, seed=900 + seed)
