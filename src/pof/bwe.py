@@ -3,13 +3,15 @@ reconstruct the full band.
 
 Inference runs on the band-limited rows of U and gamma only; the
 reconstruction then combines the posterior-mean activations with the
-full-band filters. The default point estimate is taken in the log-spectral
-domain, exp(U E[a]), which is the more stable of the two candidates and
-matches how loudness is perceived; the alternative product-of-MGFs
-estimate is available behind the mode flag. Observed bins are passed
-through unmodified: only missing content is synthesized. An audio clip
-is analysed at the model's n_fft with hop n_fft/2, the framing the
-model's training spectrograms are assumed to have.
+full-band filters. Each frame's estimate is exp(E_q[log W]): LSD is an
+RMS of log ratios, and the expected squared log error E_q[(log W_hat -
+log W)^2] is smallest at log W_hat = E_q[log W]. Under the model W_f | a
+has shape gamma_f and rate gamma_f exp(-(U a)_f), so E[log W_f | a] =
+(U a)_f + psi(gamma_f) - log gamma_f, and E_q[log W_f] needs only E_q[a].
+Observed bins are passed through unmodified: only missing content is
+synthesized.
+An audio clip is analysed at the model's n_fft with hop n_fft/2, the
+framing the model's training spectrograms are assumed to have.
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import AudioClip, StftConfig, stft_magnitude
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .estep import infer_frames
 from .model import BandMask, FramePosterior, PoFModel, Spectrogram
 from .optim import ZERO_PROGRESS
+from .specfn import _digamma
 
 __all__ = ["BweResult", "restrict_model", "expand", "reconstruct_point"]
-
-RECON_MODES = ("log_domain", "mgf")
 
 
 @dataclass
@@ -47,37 +48,18 @@ def restrict_model(model: PoFModel, mask: BandMask) -> PoFModel:
     return PoFModel(U, model.alpha, gamma, model.meta)
 
 
-def reconstruct_point(model: PoFModel, post: FramePosterior, mode: str = "log_domain") -> np.ndarray:
-    """Point estimate of one frame's full-band spectrum from its posterior.
-
-    log_domain: exp(U E[a]). mgf: prod_l E[exp(U_fl a_l)], which requires
-    U_fl < rho_l everywhere (the positive-exponent twin of the inference
-    barrier) and errors out naming the first offending (f, l) otherwise.
+def reconstruct_point(model: PoFModel, mean: np.ndarray) -> np.ndarray:
+    """exp(E_q[log W]) for every frame, (F, T), from the posterior-mean
+    activations E_q[a], (L, T): exp(U E_q[a] + psi(gamma) - log gamma).
     """
-    if mode not in RECON_MODES:
-        raise ValidationError(f"mode must be one of {RECON_MODES}")
-    if post.nu.shape[0] != model.n_filters:
-        raise ValidationError("posterior length does not match model filters")
-    if mode == "log_domain":
-        return np.exp(model.U @ (post.nu / post.rho))
-    infeasible = model.U >= post.rho
-    if np.any(infeasible):
-        f, l = np.argwhere(infeasible)[0]
-        raise NumericalError(
-            f"mgf reconstruction infeasible: U[{f},{l}]={model.U[f, l]:.6g} "
-            f">= rho[{l}]={post.rho[l]:.6g}"
-        )
-    return np.exp(-(np.log1p(-model.U / post.rho) @ post.nu))
+    if mean.ndim != 2 or mean.shape[0] != model.n_filters:
+        raise ValidationError(f"mean activations must be ({model.n_filters}, T), "
+                              f"got {mean.shape}")
+    offset = _digamma(model.gamma) - np.log(model.gamma)
+    return np.exp(model.U @ mean + offset[:, None])
 
 
-def expand(
-    source,
-    model: PoFModel,
-    mask: BandMask,
-    *,
-    seed: int = 0,
-    mode: str = "log_domain",
-) -> BweResult:
+def expand(source, model: PoFModel, mask: BandMask, *, seed: int = 0) -> BweResult:
     """Infer activations from the band-limited observation and fill the band.
 
     source is an AudioClip (analysed with the model's n_fft and hop n_fft/2)
@@ -85,10 +67,10 @@ def expand(
     exactly the masked rows, either at the model's sample rate. Frames
     whose inference fails (a non-finite bound) or makes no progress (status
     ZERO_PROGRESS, whose posterior is only its random start) fall back to
-    the prior-mean posterior (E[a] = 1), i.e. the model's mean log-spectrum.
+    the prior (alpha, alpha), whose mean is E[a] = 1: their estimate is
+    exp(E[log W]) at a = 1. All frames are reconstructed in one call of
+    reconstruct_point.
     """
-    if mode not in RECON_MODES:
-        raise ValidationError(f"mode must be one of {RECON_MODES}")
     if isinstance(source, AudioClip):
         n_fft = model.meta.n_fft
         spec = stft_magnitude(source, StftConfig(n_fft=n_fft, hop=n_fft // 2))
@@ -110,7 +92,7 @@ def expand(
     posteriors = [r.posterior if k else FramePosterior(model.alpha, model.alpha)
                   for r, k in zip(results, inferred)]
 
-    recon = np.column_stack([reconstruct_point(model, p, mode) for p in posteriors])
+    recon = reconstruct_point(model, np.stack([p.nu / p.rho for p in posteriors], axis=1))
     recon[mask.kept] = observed
     out = Spectrogram(recon, spec.kind, spec.sample_rate, spec.n_fft, spec.hop)
     return BweResult(out, posteriors, [r.status for r in results], inferred.count(False))

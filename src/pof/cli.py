@@ -1,7 +1,7 @@
 """Command-line surface: pof <subcommand> [inputs...] [flags].
 
-Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 numerical failure. Diagnostics go to stderr; results to files or stdout.
+Exit codes: 0 success, 1 usage error, 2 data, validation or numerical
+error. Diagnostics go to stderr; results to files or stdout.
 
 An optional flat key=value config file supplies defaults; explicit flags
 always win over the file, and the file wins over built-in defaults. That
@@ -19,7 +19,7 @@ from . import __version__
 from .bwe import expand
 from .dsp import (AudioClip, StftConfig, band_mask, load_wav, log_spectral_distance,
                   stft_magnitude, stft_power)
-from .errors import DataFormatError, NumericalError, PofError, ValidationError
+from .errors import DataFormatError, PofError, ValidationError
 from .estep import FrameResult, dump_posteriors, infer_frames, status_counts
 from .features import add_deltas, median_smooth, mfcc, pofc, save_features_csv
 from .model import (POFS_MAGIC, Spectrogram, load_model, load_spectrogram, sample,
@@ -56,6 +56,12 @@ CONFIG_KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1. Long options are not abbreviated, so that a
+    removed flag is an error, not a prefix of another (--mode of --model)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -151,7 +157,7 @@ def cmd_bwe(args) -> None:
     source = _load_spec_or_wav(args.input)
     mask = band_mask(model.n_bins, model.meta.sample_rate, model.meta.n_fft,
                      args.low_hz, args.high_hz)
-    result = expand(source, model, mask, seed=args.seed, mode=args.mode)
+    result = expand(source, model, mask, seed=args.seed)
     save_spectrogram(result.reconstructed, args.output)
     if args.dump_posteriors:
         records = [FrameResult(p, float("nan"), "bwe") for p in result.posteriors]
@@ -270,7 +276,6 @@ def build_parser() -> _Parser:
     p.add_argument("-m", "--model", required=True)
     _setting(p, "low_hz", "--low")
     _setting(p, "high_hz", "--high")
-    p.add_argument("--mode", choices=["log_domain", "mgf"], default="log_domain")
     p.add_argument("--dump-posteriors", help="optional JSON posterior dump path")
     _add_common(p)
     p.set_defaults(func=cmd_bwe)
@@ -329,9 +334,6 @@ def main(argv=None) -> int:
         _resolve(args)
         args.func(args)
         return 0
-    except NumericalError as exc:
-        print(f"pof: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except (PofError, OSError) as exc:
         print(f"pof: {exc}", file=sys.stderr)
         return 2

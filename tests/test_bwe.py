@@ -1,12 +1,13 @@
-"""Bandwidth expansion: model restriction, reconstruction modes, and the
-missing-band pipeline against a mean-log-spectrum baseline."""
+"""Bandwidth expansion: model restriction, the exp(E_q[log W]) estimate,
+and the missing-band pipeline against a mean-log-spectrum baseline and
+the estimate without the noise term."""
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
-from pof import (BandMask, FramePosterior, NumericalError, PoFModel,
-                 Spectrogram, ValidationError, expand, reconstruct_point,
-                 restrict_model, sample)
+from pof import (BandMask, PoFModel, Spectrogram, ValidationError, expand,
+                 reconstruct_point, restrict_model, sample)
 from pof.dsp import log_spectral_distance
 from pof.estep import FrameResult, infer_frames
 from pof.optim import ZERO_PROGRESS
@@ -41,47 +42,41 @@ class TestRestrictModel:
                 restrict_model(model, BandMask(kept))
 
 
-class TestReconstructPoint:
-    def test_zero_filters_give_ones(self):
-        model = PoFModel(np.zeros((5, 2)), np.ones(2), np.ones(5))
-        post = FramePosterior(np.ones(2), np.ones(2))
-        assert np.allclose(reconstruct_point(model, post, "log_domain"), 1.0)
-        assert np.allclose(reconstruct_point(model, post, "mgf"), 1.0)
+def noise_offset(gamma):
+    """psi(gamma) - log gamma = E[log W_f | a] - (U a)_f, from scipy."""
+    return digamma(gamma) - np.log(gamma)
 
-    def test_tiny_mean_activation_gives_ones(self, rng):
+
+class TestReconstructPoint:
+    def test_zero_filters_give_noise_offset(self):
+        gamma = np.array([0.5, 1.0, 2.0, 5.0, 40.0])
+        model = PoFModel(np.zeros((5, 2)), np.ones(2), gamma)
+        out = reconstruct_point(model, np.ones((2, 3)))
+        assert out.shape == (5, 3)
+        assert np.allclose(out, np.exp(noise_offset(gamma))[:, None], rtol=1e-12)
+
+    def test_tiny_mean_activation_gives_noise_offset(self, rng):
         model = random_model(rng, 5, 2)
-        post = FramePosterior(np.full(2, 1e-12), np.ones(2))
-        assert np.allclose(reconstruct_point(model, post, "log_domain"), 1.0, atol=1e-9)
+        out = reconstruct_point(model, np.full((2, 1), 1e-12))
+        assert np.allclose(out[:, 0], np.exp(noise_offset(model.gamma)), rtol=1e-9)
 
     def test_concentrated_posterior_limit(self):
-        # nu = rho -> infinity: both modes converge to exp(U * 1)
-        model = PoFModel(np.array([[0.8], [-0.4]]), np.ones(1), np.ones(2))
-        post = FramePosterior(np.full(1, 1e6), np.full(1, 1e6))
-        target = np.exp(model.U[:, 0])
-        assert np.allclose(reconstruct_point(model, post, "log_domain"), target, rtol=1e-4)
-        assert np.allclose(reconstruct_point(model, post, "mgf"), target, rtol=1e-4)
+        # q concentrated at a = 1: the estimate is the geometric mean of W
+        # under the model there, exp(mean log W) over many draws of W
+        model = PoFModel(np.array([[0.8], [-0.4]]), np.ones(1), np.array([0.7, 3.0]))
+        n = 200_000
+        draws = np.random.default_rng(3).gamma(
+            model.gamma[:, None], np.exp(model.U)[:, :1] / model.gamma[:, None], (2, n))
+        log_w = np.log(draws)
+        se = log_w.std(axis=1) / np.sqrt(n)
+        est = np.log(reconstruct_point(model, np.ones((1, 1)))[:, 0])
+        assert np.all(np.abs(est - log_w.mean(axis=1)) < 4 * se)
 
-    def test_jensen_ordering(self, rng):
-        for _ in range(20):
-            model = random_model(rng, 6, 3)
-            nu = rng.uniform(0.5, 5.0, 3)
-            rho = np.full(3, model.U.max() + rng.uniform(0.5, 2.0))
-            post = FramePosterior(nu, rho)
-            log_dom = reconstruct_point(model, post, "log_domain")
-            mgf = reconstruct_point(model, post, "mgf")
-            assert np.all(mgf >= log_dom - 1e-12)
-
-    def test_mgf_infeasibility_names_entry(self):
-        model = PoFModel(np.array([[0.2], [2.5]]), np.ones(1), np.ones(2))
-        post = FramePosterior(np.ones(1), np.ones(1))
-        with pytest.raises(NumericalError, match=r"U\[1,0\]"):
-            reconstruct_point(model, post, "mgf")
-
-    def test_bad_mode(self, rng):
+    def test_rejects_mean_of_wrong_shape(self, rng):
         model = random_model(rng, 4, 2)
-        post = FramePosterior(np.ones(2), np.ones(2))
-        with pytest.raises(ValidationError):
-            reconstruct_point(model, post, "average")
+        for mean in (np.ones(2), np.ones((3, 5))):
+            with pytest.raises(ValidationError, match="mean activations"):
+                reconstruct_point(model, mean)
 
 
 def trained_toy(rng, F=24, L=3, T=120, seed=5):
@@ -165,8 +160,33 @@ class TestExpand:
         assert result.replaced == 1
         assert np.array_equal(result.posteriors[2].nu, model.alpha)
         assert np.array_equal(result.posteriors[2].rho, model.alpha)
-        prior_mean = reconstruct_point(model, FramePosterior(model.alpha, model.alpha))
+        # the fallback is the same estimate at E[a] = 1
+        prior_mean = reconstruct_point(model, np.ones((model.n_filters, spec.n_frames)))
         outside = np.setdiff1d(np.arange(model.n_bins), mask.kept)
-        assert np.array_equal(result.reconstructed.data[outside, 2], prior_mean[outside])
+        assert np.array_equal(result.reconstructed.data[outside, 2], prior_mean[outside, 2])
         for t in (0, 1, 3):
             assert np.array_equal(result.posteriors[t].nu, real[t].posterior.nu)
+
+    def test_noise_term_lowers_missing_band_lsd(self, monkeypatch):
+        # against exp(U E[a]), the estimate without psi(gamma) - log gamma;
+        # bench-like noise, gamma ~ U(0.5, 5), where that term is large
+        calls = []
+        real = reconstruct_point
+        monkeypatch.setattr("pof.bwe.reconstruct_point",
+                            lambda *args: calls.append(1) or real(*args))
+        F, L = 24, 3
+        mask = BandMask(np.arange(5, 16))
+        missing = BandMask(np.setdiff1d(np.arange(F), mask.kept))
+        for seed in range(5):
+            draw = np.random.default_rng(seed)
+            model = PoFModel(draw.normal(0.0, 0.5, (F, L)), draw.uniform(0.8, 2.0, L),
+                             draw.uniform(0.5, 5.0, F))
+            spec, _ = sample(model, 60, seed=seed)
+            result = expand(spec, model, mask, seed=seed)
+            assert len(calls) == seed + 1  # one product for all frames
+            mean = np.stack([p.nu / p.rho for p in result.posteriors], axis=1)
+            plain = Spectrogram(np.exp(model.U @ mean), spec.kind, spec.sample_rate,
+                                spec.n_fft, spec.hop)
+            gain = (log_spectral_distance(plain, spec, missing)
+                    - log_spectral_distance(result.reconstructed, spec, missing))
+            assert gain > 0.2, f"seed {seed}: {gain:.3f} dB"

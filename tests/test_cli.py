@@ -78,20 +78,6 @@ def test_failed_encode_frame_dump_is_strict_json(tmp_path):
     assert all(isinstance(v, float) for v in record["nu"] + record["rho"])
 
 
-def test_mgf_infeasible_bwe_is_exit_3(rng, tmp_path, capsys):
-    # bin 0 (0 Hz) is outside the 400-3400 Hz band, so inference never sees
-    # U[0, 0] = 50; the mgf estimate needs U < rho there and cannot have it
-    U = rng.normal(0.0, 0.3, size=(F, 2))
-    U[0, 0] = 50.0
-    save_model(PoFModel(U, np.ones(2), np.full(F, 2.0),
-                        ModelMeta(sample_rate=RATE, n_fft=N_FFT)), tmp_path / "model.json")
-    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3)))
-    assert main(["bwe", spec, "-m", str(tmp_path / "model.json"), "--mode", "mgf",
-                 "-o", str(tmp_path / "out.pofs")]) == 3
-    assert capsys.readouterr().err.startswith(
-        "pof: numerical failure: mgf reconstruction infeasible")
-
-
 def test_removed_config_key_is_exit_2(rng, tmp_path, capsys):
     # the E-step has no thread pool and no solver settings any more
     config = tmp_path / "pof.cfg"
@@ -354,8 +340,13 @@ def test_bad_rel_tol_is_exit_2(rng, tmp_path, capsys, command, rel_tol):
     assert "rel_tol must be positive and finite" in capsys.readouterr().err
 
 
-def test_usage_error_is_exit_1():
-    assert main(["train"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["train"],
+    # bwe has one estimator and no --mode
+    ["bwe", "in.pofs", "-m", "model.json", "--mode", "mgf", "-o", "out.pofs"],
+], ids=["train_without_inputs", "bwe_mode"])
+def test_usage_error_is_exit_1(argv):
+    assert main(argv) == 1
 
 
 def every_prefix_is_exit_2(tmp_path, blob, argv):
