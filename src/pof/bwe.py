@@ -59,17 +59,18 @@ def reconstruct_point(model: PoFModel, mean: np.ndarray) -> np.ndarray:
     return np.exp(model.U @ mean + offset[:, None])
 
 
-def expand(source, model: PoFModel, mask: BandMask, *, seed: int = 0) -> BweResult:
+def expand(source, model: PoFModel, mask: BandMask) -> BweResult:
     """Infer activations from the band-limited observation and fill the band.
 
     source is an AudioClip (analysed with the model's n_fft and hop n_fft/2)
     or a Spectrogram at the model's n_fft carrying either all F rows or
-    exactly the masked rows, either at the model's sample rate. Frames
-    whose inference fails (a non-finite bound) or makes no progress (status
-    ZERO_PROGRESS, whose posterior is only its random start) fall back to
-    the prior (alpha, alpha), whose mean is E[a] = 1: their estimate is
-    exp(E[log W]) at a = 1. All frames are reconstructed in one call of
-    reconstruct_point.
+    exactly the masked rows, either at the model's sample rate. Every frame
+    starts from the fixed start of infer_frames, so the result depends on
+    the source, the model and the mask alone. Frames whose inference fails
+    (a non-finite bound) or makes no progress (status ZERO_PROGRESS, whose
+    posterior is only that start) fall back to the prior (alpha, alpha),
+    whose mean is E[a] = 1: their estimate is exp(E[log W]) at a = 1. All
+    frames are reconstructed in one call of reconstruct_point.
     """
     if isinstance(source, AudioClip):
         n_fft = model.meta.n_fft
@@ -87,7 +88,7 @@ def expand(source, model: PoFModel, mask: BandMask, *, seed: int = 0) -> BweResu
 
     observed = mask.select(spec.data, model.n_bins)
     sub = restrict_model(model, mask)
-    results = infer_frames(observed, sub, seed=seed)
+    results = infer_frames(observed, sub)
     inferred = [math.isfinite(r.elbo) and r.status != ZERO_PROGRESS for r in results]
     posteriors = [r.posterior if k else FramePosterior(model.alpha, model.alpha)
                   for r, k in zip(results, inferred)]

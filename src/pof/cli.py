@@ -146,7 +146,7 @@ def cmd_train(args) -> None:
 def cmd_encode(args) -> None:
     spec = load_spectrogram(args.input)
     model = load_model(args.model)
-    results = infer_frames(spec, model, seed=args.seed)
+    results = infer_frames(spec, model)
     dump_posteriors(results, args.output)
     _info(f"wrote {args.output} ({len(results)} frames) "
           f"{status_counts(r.status for r in results)}")
@@ -157,7 +157,7 @@ def cmd_bwe(args) -> None:
     source = _load_spec_or_wav(args.input)
     mask = band_mask(model.n_bins, model.meta.sample_rate, model.meta.n_fft,
                      args.low_hz, args.high_hz)
-    result = expand(source, model, mask, seed=args.seed)
+    result = expand(source, model, mask)
     save_spectrogram(result.reconstructed, args.output)
     if args.dump_posteriors:
         records = [FrameResult(p, float("nan"), "bwe") for p in result.posteriors]
@@ -193,7 +193,7 @@ def cmd_features(args) -> None:
         if not args.model:
             raise ValidationError("features needs -m MODEL or --mfcc")
         model = load_model(args.model)
-        results = infer_frames(spec, model, seed=args.seed)
+        results = infer_frames(spec, model)
         feat = pofc(results)
         counts = " " + status_counts(r.status for r in results)
     if args.deltas:
@@ -230,8 +230,10 @@ def _setting(p, key, *flags, **kwargs):
 
 
 def _add_common(p, *, output=True, seed=True):
-    """--config; --seed where the subcommand draws random numbers (a config
-    file's seed= line is valid for every subcommand); -o if output."""
+    """--config; --seed where the subcommand draws random numbers, not where
+    it only infers (encode, bwe and features start every frame at one fixed
+    point); a config file's seed= line is valid for every subcommand; -o if
+    output."""
     p.add_argument("--config", help="flat key=value config file")
     if seed:
         _setting(p, "seed", "--seed", help=f"RNG seed (default {CONFIG_KEYS['seed'][1]})")
@@ -267,7 +269,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("encode", help="posterior inference -> JSON dump")
     p.add_argument("input")
     p.add_argument("-m", "--model", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("bwe", help="bandwidth expansion with a trained model")
@@ -277,7 +279,7 @@ def build_parser() -> _Parser:
     _setting(p, "low_hz", "--low")
     _setting(p, "high_hz", "--high")
     p.add_argument("--dump-posteriors", help="optional JSON posterior dump path")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_bwe)
 
     p = sub.add_parser("nmf-train", help="fit an NMF baseline")
@@ -304,7 +306,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smooth", action="store_true", help="median-filter the features")
     _setting(p, "median_length", "--median-length")
     _setting(p, "n_mfcc", "--n-mfcc")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("eval-lsd", help="log-spectral distance between two POFS files")

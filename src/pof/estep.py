@@ -63,8 +63,10 @@ round-off and keeps the status its solve ended with; a frame that reports
 reduction over a frame's terms, matrix products included, stays within
 that frame, and each frame runs its own line search; so a frame's result
 does not depend on the frames that share its evaluations, nor on when it
-enters the working set. The default start lies at least rho_min inside the
-barrier (default_posterior_init).
+enters the working set. Without init, every frame starts from one fixed
+point, the prior mean moved at least rho_min inside the barrier
+(default_posterior_init); so a frame's result is a function of the frame
+and the model alone.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .model import FramePosterior, PoFModel, check_seed, check_spectrum
+from .model import FramePosterior, PoFModel, check_spectrum
 from .optim import FAILED_START, ZERO_PROGRESS, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
@@ -96,12 +98,6 @@ __all__ = [
 # log W is finite on silent bins (the gamma likelihood has zero density at
 # W = 0 for noise shapes > 1).
 OBS_FLOOR_REL = 1e-10
-
-# Default initialization: diffuse draws with unit mean.
-INIT_SHAPE = 100.0
-INIT_RATE = 100.0
-
-_STREAM_EINIT = 0xE1
 
 
 @dataclass
@@ -315,32 +311,28 @@ def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.
     return grad[0, :L], grad[0, L:]
 
 
-def _default_starts(model: PoFModel, seed: int, frames) -> np.ndarray:
-    """The default starts (nu, rho) of the frames, one row each (see
-    default_posterior_init), each drawn from its frame's own stream."""
-    seed, L = check_seed(seed), model.n_filters
-    x = np.empty((len(frames), 2 * L))
-    for row, t in zip(x, frames):
-        rng = np.random.default_rng([seed, _STREAM_EINIT, int(t)])
-        row[:L] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
-        row[L:] = rng.gamma(INIT_SHAPE, 1.0 / INIT_RATE, size=L)
+def _default_starts(model: PoFModel, n: int) -> np.ndarray:
+    """n copies of the default start (nu, rho), one row each (see
+    default_posterior_init)."""
     rho_min = np.maximum(0.0, -model.U.min(axis=0))
-    scale = np.maximum(1.0, 2.0 * rho_min / x[:, L:])
-    x[:, :L] *= scale
-    x[:, L:] *= scale
-    return x
+    start = np.maximum(1.0, 2.0 * rho_min)
+    return np.tile(np.concatenate((start, start)), (n, 1))
 
 
 def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePosterior:
-    """Diffuse Gamma(100, 100) draws of nu and rho, moved off the barrier.
+    """The start of every cold frame: nu_l = rho_l = max(1, 2 rho_min,l),
+    with rho_min = max(0, -min_f U_fl).
 
-    Where a draw of rho is below twice rho_min = max(0, -min_f U_fl), both
-    nu and rho are scaled by 2 rho_min / rho: the mean nu / rho is kept and
-    rho ends at least rho_min above the barrier, where the bound's gradient
-    is moderate. Starting on the barrier instead gives gradients near 1e15
-    and a first line search that may accept no step.
+    Its mean nu / rho is the prior mean E[a] = 1. Where the barrier is
+    near, nu and rho are both raised to 2 rho_min, so that rho sits rho_min
+    above it, where the bound's gradient is moderate; starting on the
+    barrier instead gives gradients near 1e15 and a first line search that
+    may accept no step.
+    seed and frame are accepted and ignored: the start depends on the model
+    alone. They remain for callers written for the former random start,
+    such as the benchmark, until they drop them.
     """
-    (x,) = _default_starts(model, seed, [frame])
+    (x,) = _default_starts(model, 1)
     L = model.n_filters
     return FramePosterior(x[:L], x[L:])
 
@@ -377,21 +369,20 @@ def infer_frames(
     W,
     model: PoFModel,
     *,
-    seed: int = 0,
     init: list[FramePosterior] | None = None,
     threads: int = 1,
 ) -> list[FrameResult]:
     """Independent per-frame inference over a spectrogram.
 
-    Observations are floored on entry. Frame t starts from init[t], or from
-    default_posterior_init(model, seed, t); seed must be >= 0 either way. A
+    Observations are floored on entry. Frame t starts from init[t], or,
+    without init, every frame from the one start of default_posterior_init,
+    so that a frame's result depends on the frame and the model alone. A
     frame whose start is infeasible keeps it, with bound -inf and status
     FAILED_START. threads is accepted and ignored: the frames are solved as
     one batched working set in one thread. It remains for callers written
     for the former thread-pool E-step, such as the benchmark, until they
     drop it.
     """
-    check_seed(seed)
     data = floor_observations(W)
     if data.shape[0] != model.n_bins:
         raise ValidationError(
@@ -399,7 +390,7 @@ def infer_frames(
         )
     T, L = data.shape[1], model.n_filters
     if init is None:
-        x0 = _default_starts(model, seed, range(T))
+        x0 = _default_starts(model, T)
     elif len(init) != T:
         raise ValidationError("init list length must equal the number of frames")
     elif any(p.nu.size != L for p in init):

@@ -78,8 +78,8 @@ class PoFModel:
         U = np.asarray(self.U, dtype=float)
         alpha = np.asarray(self.alpha, dtype=float)
         gamma = np.asarray(self.gamma, dtype=float)
-        if U.ndim != 2:
-            raise ValidationError("U must be a 2-D array")
+        if U.ndim != 2 or 0 in U.shape:
+            raise ValidationError(f"U must be a 2-D array with F, L >= 1, got shape {U.shape}")
         if alpha.ndim != 1 or alpha.shape[0] != U.shape[1]:
             raise ValidationError(
                 f"alpha length {alpha.shape} does not match U columns {U.shape[1]}"

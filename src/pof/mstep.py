@@ -91,7 +91,8 @@ class SufficientStats:
 @dataclass(frozen=True)
 class EmConfig:
     """Settings of fit. The E-step and every M-step block are solved to
-    round-off, so there are no solver settings."""
+    round-off, so there are no solver settings. seed draws only the initial
+    U; the first E-step starts every frame at infer_frames' fixed start."""
 
     L: int = 50
     rel_tol: float = 1e-4          # stop when the bound grows by < 0.01%
@@ -274,15 +275,16 @@ def fit(
     M-step more, after the E-step that trace[-1] measures: its bound is not
     computed, and the time of that M-step is not logged.
 
-    Each iteration runs the E-step (infer_frames, warm-started from the
-    previous posteriors), then the PX-EM rescale (_px_rescale; Liu, Rubin &
-    Wu, "Parameter expansion to accelerate EM", Biometrika 1998), then one
-    mstep on the rescaled model and statistics; the next E-step starts from
-    the rescaled posteriors. The model sees U and a only through U a, so the
-    prior's Gamma(alpha, alpha) pins each filter's mean activation at 1 but
-    plain EM moves the scale of U towards it only slowly; the rescale moves
-    it there at once and raises the bound by
-    sum_l T alpha_l (m_l - 1 - log m_l) >= 0, so the trace stays monotone.
+    cfg.seed draws only the initial U ~ N(0, 0.01^2). Each iteration runs
+    the E-step (infer_frames, from its fixed start at first and then
+    warm-started from the previous posteriors), then the PX-EM rescale
+    (_px_rescale; Liu, Rubin & Wu, "Parameter expansion to accelerate EM",
+    Biometrika 1998), then one mstep on the rescaled model and statistics;
+    the next E-step starts from the rescaled posteriors. The model sees U
+    and a only through U a, so the prior's Gamma(alpha, alpha) pins each
+    filter's mean activation at 1 but plain EM moves the scale of U towards
+    it only slowly; the rescale moves it there at once and raises the bound
+    by sum_l T alpha_l (m_l - 1 - log m_l) >= 0, so the trace stays monotone.
     log_sink, when given, receives one formatted line per EM iteration: the
     bound, its growth, the E-step seconds (secs=), the seconds of the
     M-step that produced this iteration's model (mstep_secs=, 0 at first),
@@ -322,7 +324,7 @@ def fit(
     mstep_secs = 0.0
     for it in range(1, cfg.max_em_iters + 1):
         t0 = time.perf_counter()
-        results = infer_frames(data, model, seed=cfg.seed, init=warm)
+        results = infer_frames(data, model, init=warm)
         total = float(sum(r.elbo for r in results))
         trace.append(total)
         delta = total - prev if prev is not None else math.nan

@@ -54,8 +54,8 @@ class NmfModel:
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
-        if V.ndim != 2:
-            raise ValidationError("V must be 2-D")
+        if V.ndim != 2 or 0 in V.shape:
+            raise ValidationError(f"V must be 2-D with F, K >= 1, got shape {V.shape}")
         if not np.all(np.isfinite(V)) or np.any(V < 0):
             raise ValidationError("V must be finite and non-negative")
         if np.any(V.sum(axis=0) == 0):

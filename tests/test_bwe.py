@@ -91,9 +91,9 @@ class TestExpand:
     def test_identity_mask_passthrough_and_posteriors(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(model.n_bins))
-        result = expand(spec, model, mask, seed=9)
+        result = expand(spec, model, mask)
         assert np.array_equal(result.reconstructed.data, spec.data)
-        direct = infer_frames(spec, model, seed=9)
+        direct = infer_frames(spec, model)
         for p, r in zip(result.posteriors, direct):
             assert np.array_equal(p.nu, r.posterior.nu)
             assert np.array_equal(p.rho, r.posterior.rho)
@@ -101,7 +101,7 @@ class TestExpand:
     def test_observed_rows_pass_through_with_partial_mask(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        result = expand(spec, model, mask, seed=1)
+        result = expand(spec, model, mask)
         assert np.array_equal(result.reconstructed.data[mask.kept], spec.data[mask.kept])
         outside = np.setdiff1d(np.arange(model.n_bins), mask.kept)
         assert not np.array_equal(
@@ -111,10 +111,10 @@ class TestExpand:
     def test_accepts_pre_masked_rows(self, rng):
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        full = expand(spec, model, mask, seed=1)
+        full = expand(spec, model, mask)
         masked_spec = Spectrogram(mask.select(spec.data, spec.n_bins), spec.kind,
                                   spec.sample_rate, spec.n_fft, spec.hop)
-        pre = expand(masked_spec, model, mask, seed=1)
+        pre = expand(masked_spec, model, mask)
         assert np.array_equal(full.reconstructed.data, pre.reconstructed.data)
 
     def test_wrong_bin_count_rejected(self, rng):
@@ -135,7 +135,7 @@ class TestExpand:
         n_sent = 12
         for s in range(n_sent):
             test_spec, _ = sample(truth, 30, seed=100 + s)
-            result = expand(test_spec, truth, mask, seed=s)
+            result = expand(test_spec, truth, mask)
             baseline = np.exp(mean_log)[:, None] * np.ones((1, 30))
             base_spec = Spectrogram(baseline, "magnitude", test_spec.sample_rate,
                                     test_spec.n_fft, test_spec.hop)
@@ -145,16 +145,16 @@ class TestExpand:
         assert wins >= int(0.9 * n_sent)
 
     def test_zero_progress_frame_falls_back_to_prior_mean(self, rng, monkeypatch):
-        # a zero-progress frame keeps its random start and a finite bound;
+        # a zero-progress frame keeps its start and a finite bound;
         # expand must still treat it as failed
         model, spec, _ = trained_toy(rng)
         mask = BandMask(np.arange(6, 18))
-        real = infer_frames(spec.data[mask.kept], restrict_model(model, mask), seed=1)
+        real = infer_frames(spec.data[mask.kept], restrict_model(model, mask))
         stuck = FrameResult(real[2].posterior, real[2].elbo, ZERO_PROGRESS)
         assert np.isfinite(stuck.elbo)
         monkeypatch.setattr("pof.bwe.infer_frames",
                             lambda *args, **kwargs: real[:2] + [stuck] + real[3:])
-        result = expand(spec, model, mask, seed=1)
+        result = expand(spec, model, mask)
         assert result.statuses == [r.status for r in real[:2]] + [ZERO_PROGRESS] + [
             r.status for r in real[3:]]
         assert result.replaced == 1
@@ -182,7 +182,7 @@ class TestExpand:
             model = PoFModel(draw.normal(0.0, 0.5, (F, L)), draw.uniform(0.8, 2.0, L),
                              draw.uniform(0.5, 5.0, F))
             spec, _ = sample(model, 60, seed=seed)
-            result = expand(spec, model, mask, seed=seed)
+            result = expand(spec, model, mask)
             assert len(calls) == seed + 1  # one product for all frames
             mean = np.stack([p.nu / p.rho for p in result.posteriors], axis=1)
             plain = Spectrogram(np.exp(model.U @ mean), spec.kind, spec.sample_rate,

@@ -408,6 +408,20 @@ def test_malformed_model_field_is_exit_2(rng, tmp_path, capsys, fmt, field, valu
     assert err.startswith("pof: ") and message in err
 
 
+def test_model_without_filters_is_exit_2(rng, tmp_path, capsys):
+    # an L=0 model file is well formed, but no frame can be inferred under it
+    spec = write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 2)))
+    path = tmp_path / "model.json"
+    doc = json.loads(Path(write_tiny_model(path, rng)).read_text())
+    doc.update(L=0, U=[[]] * F, alpha=[])
+    path.write_text(json.dumps(doc))
+    for command in ("encode", "bwe", "features"):
+        assert main([command, spec, "-m", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "model file invalid: U must be a 2-D array with F, L >= 1" in (
+            capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("offset, field, message", [
     (9, struct.pack("<I", 0), "non-empty"),      # T = 0 frames
     (14, struct.pack("<d", np.nan), "sample_rate must be positive and finite"),
@@ -434,33 +448,51 @@ def test_subcommand_help_is_exit_0(capsys, subcommand):
     assert capsys.readouterr().out.startswith(f"usage: pof {subcommand} ")
 
 
-# seeded subcommand -> its argv on the files of seeded_inputs
+# subcommand that draws random numbers -> its argv on the files of _seed_paths
 SEEDED = {
     "synth": ["synth", "-m", "{model}", "-T", "2", "-o", "{out}"],
-    "encode": ["encode", "{spec}", "-m", "{model}", "-o", "{out}"],
     "train": ["train", "{spec}", "-L", "1", "--max-iters", "1", "-o", "{out}"],
-    "bwe": ["bwe", "{spec}", "-m", "{model}", "-o", "{out}"],
     "nmf-train": ["nmf-train", "{spec}", "-K", "1", "-o", "{out}"],
     "nmf-bwe": ["nmf-bwe", "{spec}", "-m", "{nmf}", "-o", "{out}"],
+}
+
+# subcommands that draw no random number -> their argv; inference starts
+# every frame at one fixed point
+UNSEEDED = {
+    "stft": ["stft", "{wav}", "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2), "-o", "{out}"],
+    "encode": ["encode", "{spec}", "-m", "{model}", "-o", "{out}"],
+    "bwe": ["bwe", "{spec}", "-m", "{model}", "-o", "{out}"],
     "features": ["features", "{spec}", "-m", "{model}", "-o", "{out}"],
+    "eval-lsd": ["eval-lsd", "{spec}", "{spec}"],
 }
 
 
-@pytest.mark.parametrize("subcommand", SEEDED)
-@pytest.mark.parametrize("source, code, message", [
-    ("flag", 1, "argument --seed: invalid non_negative_int value: '-1'"),
-    ("file", 2, "pof: config line 1: expected a non-negative integer, got '-1'"),
-], ids=["flag", "file"])
-def test_negative_seed_is_refused(rng, tmp_path, capsys, subcommand, source, code, message):
-    # numpy's generators take no negative seed; the refusal comes before any
-    # input is read
-    paths = {"model": write_tiny_model(tmp_path / "model.json", rng),
-             "nmf": write_tiny_nmf_model(tmp_path / "nmf.json", rng),
-             "spec": write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3))),
-             "out": str(tmp_path / "out")}
+def _seed_paths(tmp_path, rng):
+    return {"model": write_tiny_model(tmp_path / "model.json", rng),
+            "nmf": write_tiny_nmf_model(tmp_path / "nmf.json", rng),
+            "spec": write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3))),
+            "wav": write_wav(tmp_path / "in.wav", 0.3 * rng.normal(size=8 * 5)),
+            "out": str(tmp_path / "out")}
+
+
+@pytest.mark.parametrize("subcommand", [*SEEDED, *UNSEEDED])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_is_refused(rng, tmp_path, capsys, subcommand, source):
+    # numpy's generators take no negative seed; a config file's seed= line
+    # is valid for every subcommand and checked by every one, and --seed -1
+    # is refused by the flag's type where the flag exists; the refusal
+    # comes before any input is read
+    paths = _seed_paths(tmp_path, rng)
     (tmp_path / "pof.cfg").write_text("seed=-1\n")
-    extra = ["--seed", "-1"] if source == "flag" else ["--config", str(tmp_path / "pof.cfg")]
-    assert main([a.format(**paths) for a in SEEDED[subcommand]] + extra) == code
+    argv = [a.format(**paths) for a in {**SEEDED, **UNSEEDED}[subcommand]]
+    if source == "file":
+        code, message = 2, "pof: config line 1: expected a non-negative integer, got '-1'"
+        argv += ["--config", str(tmp_path / "pof.cfg")]
+    else:
+        code, message = 1, ("argument --seed: invalid non_negative_int value: '-1'"
+                            if subcommand in SEEDED else "unrecognized arguments: --seed -1")
+        argv += ["--seed", "-1"]
+    assert main(argv) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -471,23 +503,12 @@ def _outputs(argv, out, capsys):
     return code, capsys.readouterr().out, out.read_bytes() if out.exists() else None
 
 
-# subcommands that draw no random number -> their argv
-UNSEEDED = {
-    "stft": ["stft", "{wav}", "--n-fft", str(N_FFT), "--hop", str(N_FFT // 2), "-o", "{out}"],
-    "eval-lsd": ["eval-lsd", "{spec}", "{spec}"],
-}
-
-
 @pytest.mark.parametrize("subcommand", [*SEEDED, *UNSEEDED])
 def test_seed_flag_only_where_random_numbers_are_drawn(rng, tmp_path, capsys, subcommand):
     # --seed 0 and a config file's seed= line are accepted where a random
     # number is drawn and change nothing at the default; elsewhere the flag
     # is refused and the file's seed= line changes nothing
-    paths = {"model": write_tiny_model(tmp_path / "model.json", rng),
-             "nmf": write_tiny_nmf_model(tmp_path / "nmf.json", rng),
-             "spec": write_spec(tmp_path / "in.pofs", rng.lognormal(size=(F, 3))),
-             "wav": write_wav(tmp_path / "in.wav", 0.3 * rng.normal(size=8 * 5)),
-             "out": str(tmp_path / "out")}
+    paths = _seed_paths(tmp_path, rng)
     seeded = subcommand in SEEDED
     argv = [a.format(**paths) for a in (SEEDED if seeded else UNSEEDED)[subcommand]]
     (tmp_path / "pof.cfg").write_text(f"seed={0 if seeded else 1}\n")

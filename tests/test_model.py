@@ -51,6 +51,10 @@ class TestTypes:
             PoFModel(np.zeros((4, 2)), alpha=[1.0, 1.0], gamma=np.ones(3))
         with pytest.raises(ValidationError):
             PoFModel(np.full((4, 2), np.inf), alpha=[1.0, 1.0], gamma=np.ones(4))
+        with pytest.raises(ValidationError, match="F, L >= 1"):
+            PoFModel(np.zeros((4, 0)), alpha=[], gamma=np.ones(4))      # L = 0
+        with pytest.raises(ValidationError, match="F, L >= 1"):
+            PoFModel(np.zeros((0, 2)), alpha=[1.0, 1.0], gamma=[])      # F = 0
 
     def test_model_is_immutable(self, rng):
         m = random_model(rng, 4, 2)
@@ -114,7 +118,7 @@ def test_entry_points_reject_malformed_spectra(rng, entry, case):
         call(malformed_spectrum(rng, case))
 
 
-@pytest.mark.parametrize("entry", ["sample", "nmf_fit", "nmf_encode", "infer_frames"])
+@pytest.mark.parametrize("entry", ["sample", "nmf_fit", "nmf_encode"])
 def test_entry_points_reject_negative_seed(rng, entry):
     # numpy's generators take no negative seed; the refusal is ours
     model = random_model(rng, 6, 2)
@@ -124,7 +128,6 @@ def test_entry_points_reject_negative_seed(rng, entry):
         "sample": lambda: sample(model, 2, -1),
         "nmf_fit": lambda: nmf_fit(W, 1, "kl", seed=-1),
         "nmf_encode": lambda: nmf_encode(W, nmf, BandMask(np.arange(6)), seed=-1),
-        "infer_frames": lambda: infer_frames(W, model, seed=-1),
     }[entry]
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         call()

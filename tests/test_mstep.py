@@ -217,7 +217,7 @@ class TestMstep:
         gamma_true = np.full(F, 20.0)
         true_model = PoFModel(U, alpha_true, gamma_true)
         spec, _ = sample(true_model, T, seed=21)
-        results = infer_frames(spec, true_model, seed=0)
+        results = infer_frames(spec, true_model)
         assert all(r.status == "converged" for r in results)
         stats = SufficientStats.from_posteriors([r.posterior for r in results])
         alpha_hat = _solve_shape(_alpha_c(stats))

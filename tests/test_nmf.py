@@ -209,3 +209,7 @@ class TestNmfSerialization:
             NmfModel(np.zeros((3, 2)), "kl")        # all-zero columns
         with pytest.raises(ValidationError):
             NmfModel(np.ones((3, 2)), "euclidean")  # unknown divergence
+        with pytest.raises(ValidationError, match="F, K >= 1"):
+            NmfModel(np.ones((3, 0)), "kl")         # K = 0
+        with pytest.raises(ValidationError, match="F, K >= 1"):
+            NmfModel(np.ones((0, 2)), "kl")         # F = 0

@@ -538,14 +538,14 @@ class TestTracedCallers:
         estep = importlib.import_module("pof.estep")
         model = random_model(rng, 12, 3)
         W = rng.lognormal(sigma=0.7, size=(12, 9))
-        plain = infer_frames(W, model, seed=2)
+        plain = infer_frames(W, model)
         evaluated, seen = [], []
         objective = estep._Frames.objective
         monkeypatch.setattr(estep._Frames, "objective",
                             lambda frames, batch: evaluated.append(len(batch[0]))
                             or objective(frames, batch))
         monkeypatch.setattr(estep, "minimize", traced_minimize(estep.minimize, seen))
-        traced = infer_frames(W, model, seed=2)
+        traced = infer_frames(W, model)
         assert seen == evaluated and len(seen) > 1
         for a, b in zip(plain, traced):
             assert np.array_equal(a.posterior.nu, b.posterior.nu)
@@ -557,7 +557,7 @@ class TestTracedCallers:
         model = random_model(rng, 12, 3)
         W = rng.lognormal(sigma=0.7, size=(12, 9))
         stats = SufficientStats.from_posteriors(
-            [r.posterior for r in infer_frames(W, model, seed=2)])
+            [r.posterior for r in infer_frames(W, model)])
         plain = mstep(W, model, stats, frozen_rows=frozenset({4}))
         evaluated, seen = [], []
         rows_phi = mstep_module._u_rows_phi
