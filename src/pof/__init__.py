@@ -20,7 +20,7 @@ from .features import (FeatureMatrix, add_deltas, load_features_csv,
 from .model import (BandMask, FramePosterior, ModelMeta, PoFModel, Spectrogram,
                     load_model, load_spectrogram, sample, save_model,
                     save_spectrogram)
-from .mstep import EmConfig, SufficientStats, fit, mstep
+from .mstep import EmConfig, SufficientStats, fit
 from .nmf import (NmfFit, NmfModel, load_nmf_model, nmf_encode, nmf_expand,
                   nmf_fit, save_nmf_model)
 from .optim import OptimResult, minimize

@@ -56,11 +56,18 @@ CONFIG_KEYS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1. Long options are not abbreviated, so that a
-    removed flag is an error, not a prefix of another (--mode of --model)."""
+    """Usage errors exit 1, with the usage of the (sub)parser that met them.
+    Long options are not abbreviated, so that a removed flag is an error,
+    not a prefix of another (--mode of --model)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -179,7 +186,7 @@ def cmd_nmf_bwe(args) -> None:
     model = load_nmf_model(args.model)
     spec = load_spectrogram(args.input)
     mask = band_mask(model.n_bins, spec.sample_rate, spec.n_fft, args.low_hz, args.high_hz)
-    recon = nmf_expand(spec, model, mask, seed=args.seed, rel_tol=args.rel_tol)
+    recon = nmf_expand(spec, model, mask, rel_tol=args.rel_tol)
     save_spectrogram(recon, args.output)
     _info(f"wrote {args.output}")
 
@@ -231,7 +238,7 @@ def _setting(p, key, *flags, **kwargs):
 
 def _add_common(p, *, output=True, seed=True):
     """--config; --seed where the subcommand draws random numbers, not where
-    it only infers (encode, bwe and features start every frame at one fixed
+    it only infers (encode, bwe, features and nmf-bwe start at one fixed
     point); a config file's seed= line is valid for every subcommand; -o if
     output."""
     p.add_argument("--config", help="flat key=value config file")
@@ -295,7 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("-m", "--model", required=True)
     _setting(p, "low_hz", "--low")
     _setting(p, "high_hz", "--high")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_nmf_bwe)
 
     p = sub.add_parser("features", help="PoFC or MFCC features -> CSV")

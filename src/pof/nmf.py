@@ -11,8 +11,8 @@ iteration of nmf_fit (V, then H) forms V H twice and one of nmf_encode (H
 alone) once; the cost of each iterate is read off the R that the next
 update starts from.
 
-Both entry points draw their start from the seed and run _run_updates;
-nmf_encode, and so nmf_expand, stops after at most _MAX_ITERS iterations.
+nmf_fit draws its start from the seed and nmf_encode starts at H = 1; both
+run _run_updates, nmf_encode (and so nmf_expand) for at most _MAX_ITERS.
 """
 
 from __future__ import annotations
@@ -170,42 +170,31 @@ def nmf_fit(
     return NmfModel(V, divergence), NmfFit(H, trace)
 
 
-def nmf_encode(
-    W_bl,
-    model: NmfModel,
-    mask: BandMask,
-    seed: int = 0,
-    rel_tol: float = 1e-4,
-) -> np.ndarray:
+def nmf_encode(W_bl, model: NmfModel, mask: BandMask, rel_tol: float = 1e-4) -> np.ndarray:
     """Infer activations for band-limited data with the dictionary fixed.
 
     Only the masked rows of V participate; the same multiplicative H update
-    and stopping rule as nmf_fit apply.
+    and stopping rule as nmf_fit apply, from H = 1. With V fixed, the first
+    update, KL or IS, takes every constant start to the same H, so the
+    start's value is no setting.
     """
     V_bl = mask.select(model.V, model.n_bins)
     if np.any(V_bl.sum(axis=0) == 0):
         raise ValidationError("masked dictionary has an all-zero column")
     data = mask.select(check_spectrum(W_bl), model.n_bins)
-    T = data.shape[1]
-    rng = np.random.default_rng([check_seed(seed), _STREAM_NMF, 1])
-    H = rng.uniform(0.1, 1.1, (model.K, T))
+    H = np.ones((model.K, data.shape[1]))
     _, H, _ = _run_updates(data, V_bl, H, model.divergence, rel_tol, _MAX_ITERS,
                            update_v=False)
     return H
 
 
-def nmf_expand(
-    W_bl,
-    model: NmfModel,
-    mask: BandMask,
-    seed: int = 0,
-    rel_tol: float = 1e-4,
-) -> Spectrogram:
-    """Reconstruct the full band as V H_bl, passing observed rows through."""
+def nmf_expand(W_bl, model: NmfModel, mask: BandMask, rel_tol: float = 1e-4) -> Spectrogram:
+    """Reconstruct the full band as V H_bl, passing observed rows through;
+    H_bl is nmf_encode's, from its constant start H = 1."""
     if not isinstance(W_bl, Spectrogram):
         raise ValidationError("nmf_expand needs a Spectrogram input")
     observed = mask.select(W_bl.data, model.n_bins)
-    H = nmf_encode(observed, model, mask, seed=seed, rel_tol=rel_tol)
+    H = nmf_encode(observed, model, mask, rel_tol=rel_tol)
     recon = model.V @ H
     recon[mask.kept] = observed
     return Spectrogram(recon, W_bl.kind, W_bl.sample_rate, W_bl.n_fft, W_bl.hop)

@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from pof import (BandMask, DataFormatError, EmConfig, FramePosterior, ModelMeta, NmfModel,
                  PoFModel, Spectrogram, SufficientStats, ValidationError, fit,
-                 floor_observations, infer_frames, load_model, load_spectrogram, mstep,
+                 floor_observations, infer_frames, load_model, load_spectrogram,
                  nmf_encode, nmf_fit, sample, save_model, save_spectrogram)
+from pof.mstep import mstep
 from conftest import random_feasible_posterior, random_model
 from reference import expected_log_spectrum, grad_alpha, grad_gamma, grad_u_row, q_objective
 
@@ -118,16 +119,14 @@ def test_entry_points_reject_malformed_spectra(rng, entry, case):
         call(malformed_spectrum(rng, case))
 
 
-@pytest.mark.parametrize("entry", ["sample", "nmf_fit", "nmf_encode"])
+@pytest.mark.parametrize("entry", ["sample", "nmf_fit"])
 def test_entry_points_reject_negative_seed(rng, entry):
     # numpy's generators take no negative seed; the refusal is ours
     model = random_model(rng, 6, 2)
     W = rng.lognormal(size=(6, 5))
-    nmf = NmfModel(rng.uniform(0.1, 1.0, size=(6, 2)), "kl")
     call = {
         "sample": lambda: sample(model, 2, -1),
         "nmf_fit": lambda: nmf_fit(W, 1, "kl", seed=-1),
-        "nmf_encode": lambda: nmf_encode(W, nmf, BandMask(np.arange(6)), seed=-1),
     }[entry]
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         call()

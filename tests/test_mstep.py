@@ -13,9 +13,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pof import (EmConfig, FramePosterior, PoFModel, Spectrogram, ValidationError,
-                 elbo, fit, mstep, sample)
+                 elbo, fit, sample)
 from pof.estep import floor_observations, infer_frames
-from pof.mstep import SufficientStats, _alpha_c, _px_rescale, _solve_shape, _u_rows_phi
+from pof.mstep import (SufficientStats, _alpha_c, _px_rescale, _solve_shape, _u_rows_phi,
+                       mstep)
 from pof.specfn import _shape_eq
 from conftest import (central_diff, huge_bin_problem, q_oracle,
                       random_feasible_posterior, random_model)

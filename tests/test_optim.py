@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from pof import infer_frames, minimize, mstep
-from pof.mstep import SufficientStats
+import pof
+from pof import infer_frames, minimize
+from pof.mstep import SufficientStats, mstep
 from pof.optim import FAILED_START, ZERO_PROGRESS
 from conftest import random_model
 
@@ -554,6 +555,7 @@ class TestTracedCallers:
 
     def test_mstep(self, rng, monkeypatch):
         mstep_module = importlib.import_module("pof.mstep")
+        assert mstep_module is pof.mstep  # the package re-exports no function under its name
         model = random_model(rng, 12, 3)
         W = rng.lognormal(sigma=0.7, size=(12, 9))
         stats = SufficientStats.from_posteriors(
