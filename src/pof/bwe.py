@@ -65,7 +65,8 @@ def expand(source, model: PoFModel, mask: BandMask) -> BweResult:
     source is an AudioClip (analysed with the model's n_fft and hop n_fft/2)
     or a Spectrogram at the model's n_fft carrying either all F rows or
     exactly the masked rows, either at the model's sample rate. Every frame
-    starts from the fixed start of infer_frames, so the result depends on
+    starts from infer_frames' cold start under the restricted model, which
+    depends on the frame's observed rows alone, so the result depends on
     the source, the model and the mask alone. Frames whose inference fails
     (a non-finite bound) or makes no progress (status ZERO_PROGRESS, whose
     posterior is only that start) fall back to the prior (alpha, alpha),

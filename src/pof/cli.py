@@ -238,9 +238,9 @@ def _setting(p, key, *flags, **kwargs):
 
 def _add_common(p, *, output=True, seed=True):
     """--config; --seed where the subcommand draws random numbers, not where
-    it only infers (encode, bwe, features and nmf-bwe start at one fixed
-    point); a config file's seed= line is valid for every subcommand; -o if
-    output."""
+    it only infers (encode, bwe, features and nmf-bwe start from a function
+    of the frame and the model); a config file's seed= line is valid for
+    every subcommand; -o if output."""
     p.add_argument("--config", help="flat key=value config file")
     if seed:
         _setting(p, "seed", "--seed", help=f"RNG seed (default {CONFIG_KEYS['seed'][1]})")

@@ -92,7 +92,7 @@ class SufficientStats:
 class EmConfig:
     """Settings of fit. The E-step and every M-step block are solved to
     round-off, so there are no solver settings. seed draws only the initial
-    U; the first E-step starts every frame at infer_frames' fixed start."""
+    U; the first E-step starts every frame at infer_frames' cold start."""
 
     L: int = 50
     rel_tol: float = 1e-4          # stop when the bound grows by < 0.01%
@@ -276,7 +276,7 @@ def fit(
     computed, and the time of that M-step is not logged.
 
     cfg.seed draws only the initial U ~ N(0, 0.01^2). Each iteration runs
-    the E-step (infer_frames, from its fixed start at first and then
+    the E-step (infer_frames, from its cold start at first and then
     warm-started from the previous posteriors), then the PX-EM rescale
     (_px_rescale; Liu, Rubin & Wu, "Parameter expansion to accelerate EM",
     Biometrika 1998), then one mstep on the rescaled model and statistics;

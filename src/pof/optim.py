@@ -72,9 +72,10 @@ ZERO_PROGRESS = "zero_progress"
 FAILED_START = "failed_start"
 
 # Newton iterations, capped for each row on its own. At F=129, L=20 an
-# E-step frame from the default start takes about 11 in log coordinates (at
-# most 15 in 100 frames) and a first M-step row about 11; the cap only
-# bounds a row that keeps accepting steps without reaching round-off.
+# E-step frame takes about 11 in log coordinates from the prior-mean point
+# and about 5.7 from infer_frames' cold start (at most 15 and 9 in 100
+# frames), and a first M-step row about 11; the cap only bounds a row that
+# keeps accepting steps without reaching round-off.
 _MAX_ITERS = 200
 _MAX_HALVINGS = 60
 _ARMIJO_C1 = 1e-4
