@@ -62,10 +62,10 @@ round-off and keeps the status its solve ended with; a frame that reports
 reduction over a frame's terms, matrix products included, stays within
 that frame, and each frame runs its own line search; so a frame's result
 does not depend on the frames that share its evaluations, nor on when it
-enters the working set. Without init, a frame starts from the clipped
-ridge projection of its log spectrum onto U (_default_starts), which
-halves the Newton evaluations of a benchmark frame against the prior-mean
-point; so a frame's result is a function of the frame and the model alone.
+enters the working set. A frame starts from its init (by default the
+prior-mean point) or from its ridge start (_default_starts), whichever has
+the higher bound; so its result is a function of the frame, the model and
+its init alone.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .model import FramePosterior, PoFModel, check_spectrum
-from .optim import FAILED_START, ZERO_PROGRESS, minimize
+from .optim import FAILED_START, ZERO_PROGRESS, _width, minimize
 from .specfn import _gamma_fns, _ln_gamma
 
 __all__ = [
@@ -98,10 +98,6 @@ __all__ = [
 # W = 0 for noise shapes > 1).
 OBS_FLOOR_REL = 1e-10
 
-# The cold start's ridge weights are 1 / max(psi_1(gamma_f), 0.2); the floor
-# binds only where gamma_f > 5.5. At floor 1, encode frames of the true
-# model take 7.29 Newton evaluations each instead of 6.81.
-_START_PSI1_FLOOR = 0.2
 # The clip of the start's mean m. m follows the input's level, which the
 # model has no term for: at input gain 1e6, clip (0.3, inf) takes 35.2
 # evaluations per frame, (0.3, 3) 25.0 and the prior-mean point 27.7.
@@ -160,7 +156,7 @@ class _Frames:
             + float(np.sum(alpha * np.log(alpha) - _ln_gamma(alpha)))
             + ((gamma - 1.0) * np.log(w)).sum(axis=1)
         )
-        rho_min = np.maximum(0.0, -model.U.min(axis=0))
+        rho_min = _rho_min(model.U)
         self.lower = np.concatenate((np.zeros_like(rho_min), rho_min))
 
     def _terms(self, x, derivs, rows):
@@ -319,49 +315,46 @@ def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.
     return grad[0, :L], grad[0, L:]
 
 
+def _rho_min(U: np.ndarray) -> np.ndarray:
+    """The barrier of each filter: the bound is finite only for rho > this."""
+    return np.maximum(0.0, -U.min(axis=0))
+
+
 def _default_starts(data: np.ndarray, model: PoFModel) -> np.ndarray:
-    """The start (nu, rho) of each column of data (F, T), one row each: the
-    gamma of mean m and variance 1 / diag A, m the ridge estimate of E[a]
-    from log w = U a + b + noise, b = psi(gamma) - log gamma, clipped:
-    m = K (log w - b) + c, K = A^-1 U^T Psi^-1, c = A^-1 alpha, A = U^T
-    Psi^-1 U + diag alpha, Psi = diag psi_1(gamma) floored. rho = m diag A,
-    at least 2 rho_min as in default_posterior_init, and nu = m rho. Each
-    frame's product is a matrix product of its own, so its start does not
-    depend on the other frames."""
+    """The ridge start (nu, rho) of each column of data (F, T), one row
+    each: the gamma of mean m and variance 1 / diag A, m = K (log w - b) +
+    c clipped, the ridge estimate of E[a] from log w = U a + b + noise,
+    b = psi(gamma) - log gamma, K = A^-1 U^T Psi^-1, c = A^-1 alpha, A =
+    U^T Psi^-1 U + diag alpha, Psi = diag psi_1(gamma); rho = m diag A, at
+    least 2 rho_min, and nu = m rho. No start depends on another frame."""
     U, alpha, gamma = model.U, model.alpha, model.gamma
     _, psi, psi1 = _gamma_fns(gamma)
-    UTw = U.T / np.maximum(psi1, _START_PSI1_FLOOR)
+    UTw = U.T / psi1
     A = UTw @ U + np.diag(alpha)
     K = np.linalg.solve(A, UTw)
     c = np.linalg.solve(A, alpha)
     z = np.log(np.ascontiguousarray(data.T)) - (psi - np.log(gamma))   # (T, F)
     m = np.clip((z[:, None, :] @ K.T)[:, 0] + c, *_START_MEAN_CLIP)
-    rho = np.maximum(m * np.diag(A), 2.0 * np.maximum(0.0, -U.min(axis=0)))
+    rho = np.maximum(m * np.diag(A), 2.0 * _rho_min(U))
     return np.concatenate((m * rho, rho), axis=1)
 
 
 def default_posterior_init(model: PoFModel, seed: int, frame: int) -> FramePosterior:
-    """The prior-mean point nu_l = rho_l = max(1, 2 rho_min,l), with
-    rho_min = max(0, -min_f U_fl); no cold frame starts there (see
-    _default_starts), and it is kept for the benchmark until it drops it.
-
-    Its mean nu / rho is the prior mean E[a] = 1. Where the barrier is
-    near, nu and rho are both raised to 2 rho_min, so that rho sits rho_min
-    above it, where the bound's gradient is moderate; starting on the
-    barrier instead gives gradients near 1e15 and a first line search that
-    may accept no step.
-    seed and frame are accepted and ignored: the point depends on the model
-    alone.
+    """infer_frames' default init, the prior-mean point nu_l = rho_l =
+    max(1, 2 rho_min,l), rho_min = max(0, -min_f U_fl): mean nu / rho = 1.
+    Near the barrier rho sits rho_min above it, where the bound's gradient
+    is moderate; on it, gradients near 1e15 let a first line search accept
+    no step. seed and frame are ignored: the point depends on the model.
     """
-    start = np.maximum(1.0, 2.0 * np.maximum(0.0, -model.U.min(axis=0)))
+    start = np.maximum(1.0, 2.0 * _rho_min(model.U))
     return FramePosterior(start, start.copy())
 
 
-def _solve(data: np.ndarray, model: PoFModel, x0: np.ndarray) -> list[FrameResult]:
-    """Infer every column of data (F, T) from its start, the row (nu, rho)
-    of x0 (T, 2L), in one minimize call."""
+def _solve(data: np.ndarray, model: PoFModel, x0: np.ndarray,
+           ridge: bool = False) -> list[FrameResult]:
+    """Infer every column of data (F, T) from the row (nu, rho) of x0 (T,
+    2L), or, with ridge, as infer_frames does, in one minimize call."""
     F, L = model.U.shape
-    y0 = np.log(x0)
     frames = _Frames(np.ascontiguousarray(data.T), model)
     with np.errstate(divide="ignore"):
         lower = np.log(frames.lower)
@@ -376,7 +369,16 @@ def _solve(data: np.ndarray, model: PoFModel, x0: np.ndarray) -> list[FrameResul
     # frame at F=129 and 59 to 66 kB at F=48, against the 99 and 83 kB
     # asked for)
     s = 4 * L * L
-    res = minimize(frames.objective, y0, lower, 8 * max(3 * F * L + 5 * F + 2 * s, 6 * s) + 6144)
+    row_bytes = 8 * max(3 * F * L + 5 * F + 2 * s, 6 * s) + 6144
+    if ridge:
+        # the two bounds of a chunk of frames take less than its solve
+        x0, other, step = x0.copy(), _default_starts(data, model), _width(row_bytes)
+        for rows in (slice(t, t + step) for t in range(0, len(x0), step)):
+            given, mine = (frames.bound(x[rows], 1, rows)[0] for x in (x0, other))
+            better = np.isfinite(given) & (mine > given)
+            x0[rows][better] = other[rows][better]
+    y0 = np.log(x0)
+    res = minimize(frames.objective, y0, lower, row_bytes)
     # a row that never moved keeps its start bitwise, not exp(log x0);
     # a row that moved has a finite bound at exp(y), so exp(y) is finite
     kept = np.all(res.x == y0, axis=1)
@@ -394,14 +396,15 @@ def infer_frames(
 ) -> list[FrameResult]:
     """Independent per-frame inference over a spectrogram.
 
-    Observations are floored on entry. Frame t starts from init[t], or,
-    without init, from the start _default_starts computes from frame t
-    alone, so that its result depends on the frame and the model alone. A
-    frame whose start is infeasible keeps it, with bound -inf and status
-    FAILED_START. threads is accepted and ignored: the frames are solved as
-    one batched working set in one thread. It remains for callers written
-    for the former thread-pool E-step, such as the benchmark, until they
-    drop it.
+    Observations are floored on entry. Frame t starts from init[t] (by
+    default default_posterior_init's point, so no init gives the bits of
+    that init) or from the clipped ridge projection of its log spectrum onto
+    U (_default_starts), whichever has the higher bound. A frame whose init
+    has a bound or gradient that is not finite keeps it, with bound -inf
+    and status FAILED_START. threads is accepted and ignored: the frames
+    are solved as one batched working set in one thread. It remains for
+    callers written for the former thread-pool E-step, such as the
+    benchmark, until they drop it.
     """
     data = floor_observations(W)
     if data.shape[0] != model.n_bins:
@@ -410,14 +413,13 @@ def infer_frames(
         )
     T, L = data.shape[1], model.n_filters
     if init is None:
-        x0 = _default_starts(data, model)
-    elif len(init) != T:
+        init = [default_posterior_init(model, 0, 0)] * T
+    if len(init) != T:
         raise ValidationError("init list length must equal the number of frames")
-    elif any(p.nu.size != L for p in init):
+    if any(p.nu.size != L for p in init):
         raise ValidationError(f"initial posteriors must have L={L} entries")
-    else:
-        x0 = np.array([np.concatenate((p.nu, p.rho)) for p in init])
-    return _solve(data, model, x0)
+    x0 = np.array([np.concatenate((p.nu, p.rho)) for p in init])
+    return _solve(data, model, x0, ridge=True)
 
 
 def dump_posteriors(results: list[FrameResult], path) -> None:

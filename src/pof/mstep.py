@@ -276,8 +276,8 @@ def fit(
     computed, and the time of that M-step is not logged.
 
     cfg.seed draws only the initial U ~ N(0, 0.01^2). Each iteration runs
-    the E-step (infer_frames, from its cold start at first and then
-    warm-started from the previous posteriors), then the PX-EM rescale
+    the E-step (infer_frames, from its cold start at first and then from
+    the previous posteriors, or a higher ridge start), then the PX-EM rescale
     (_px_rescale; Liu, Rubin & Wu, "Parameter expansion to accelerate EM",
     Biometrika 1998), then one mstep on the rescaled model and statistics;
     the next E-step starts from the rescaled posteriors. The model sees U

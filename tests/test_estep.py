@@ -14,7 +14,7 @@ import scipy.optimize
 
 from pof import (FramePosterior, NumericalError, PoFModel, ValidationError,
                  band_mask, elbo, elbo_grad, restrict_model, sample)
-from pof.estep import (FrameResult, _default_starts, _Frames, _abs_2x2,
+from pof.estep import (FrameResult, _default_starts, _Frames, _abs_2x2, _solve,
                        default_posterior_init, dump_posteriors, floor_observations,
                        infer_frames)
 from pof.optim import FAILED_START, ZERO_PROGRESS
@@ -55,10 +55,10 @@ def phi_rows(monkeypatch, sink):
     monkeypatch.setattr(estep, "minimize", recorded)
 
 
-def newton_iterations(monkeypatch, init):
+def newton_iterations(monkeypatch, start):
     """The Newton iterations of each of the benchmark's 100 frames, solved
-    one by one from init (None for the cold start); every frame must end
-    converged."""
+    one by one from start, a FramePosterior, or by infer_frames with None;
+    every frame must end converged."""
     model, W = bench_inputs()
     W = floor_observations(W)
     estep = importlib.import_module("pof.estep")
@@ -70,7 +70,9 @@ def newton_iterations(monkeypatch, init):
         return res
 
     monkeypatch.setattr(estep, "minimize", counted)
-    results = [infer_frames(W[:, t:t + 1], model, init=init)[0] for t in range(W.shape[1])]
+    x0 = None if start is None else np.concatenate((start.nu, start.rho))[None]
+    results = [(infer_frames(W[:, t:t + 1], model) if start is None
+                else _solve(W[:, t:t + 1], model, x0))[0] for t in range(W.shape[1])]
     assert len(iters) == 100
     assert all(r.status == "converged" for r in results)
     return iters
@@ -455,7 +457,7 @@ class TestInferFrame:
     def test_default_init_ignores_seed_and_frame(self, rng, monkeypatch):
         # one prior-mean point for every seed and frame, nu = rho = 1 far
         # from the barrier; without init, infer_frames hands the solver the
-        # log of each frame's own start instead
+        # log of each frame's own ridge start, whose bound is higher here
         model = random_model(rng, 4, 3, u_scale=0.01)
         start = default_posterior_init(model, 0, 0)
         assert np.array_equal(start.nu, np.ones(3)) and np.array_equal(start.rho, np.ones(3))
@@ -498,7 +500,8 @@ class TestInferFrame:
         model = PoFModel(U, np.full(L, 2.0), np.full(F, 50.0))
         w = np.exp(U @ np.array([2.0, 0.05, 0.05])) * rng.gamma(50.0, 1 / 50.0, size=F)
         start = FramePosterior(np.ones(L), -U.min(axis=0) * (1.0 + 1e-6))
-        result = infer_frames(w[:, None], model, init=[start])[0]
+        # infer_frames would pick the ridge start over it
+        result = _solve(w[:, None], model, np.concatenate((start.nu, start.rho))[None])[0]
         assert result.status != ZERO_PROGRESS
         assert not np.array_equal(result.posterior.nu, start.nu)
         assert result.elbo > elbo(w, model, start) + 1.0
@@ -611,32 +614,39 @@ class TestInferFrames:
     def assert_refilled_stack_equals_one_frame_calls(W, model, monkeypatch):
         # 12 frames through a working set of 5: each frame's result is
         # bitwise the one it gets when solved alone, including the queued
-        # frames whose start is infeasible (6) or already converged (8)
+        # frames whose start is infeasible (6) or already converged (8);
+        # both from the starts as given, where a queued start shares an
+        # evaluation with the trials of other frames, and as infer_frames
+        # solves them, from the ridge starts it picks for most frames
         W = floor_observations(W)
         L = model.n_filters
         init = [default_posterior_init(model, 7, t) for t in range(W.shape[1])]
         init[6] = FramePosterior(init[6].nu, np.full(L, -0.5 * model.U.min()))
         assert not math.isfinite(elbo(W[:, 6], model, init[6]))
         init[8] = infer_frames(W[:, 8:9], model, init=[init[8]])[0].posterior
-        batches = []
-        phi_rows(monkeypatch, batches)
-        monkeypatch.setattr(optim, "_width", lambda _: 5)
-        stacked = infer_frames(W, model, init=init)
-        assert max(map(len, batches)) == 5
-        # a queued start shares an evaluation with the trials of other frames
-        assert any(np.any(rows < 5) and np.any(rows >= 5) for rows in batches)
-        monkeypatch.undo()
-        for t, b in enumerate(stacked):
-            (a,) = infer_frames(W[:, t:t + 1], model, init=[init[t]])
-            assert np.array_equal(a.posterior.nu, b.posterior.nu)
-            assert np.array_equal(a.posterior.rho, b.posterior.rho)
-            assert a.elbo == b.elbo
-            assert a.status == b.status
-        assert [r.status for r in stacked].count("converged") == 11
-        assert stacked[6].status == FAILED_START
-        assert np.array_equal(stacked[6].posterior.rho, init[6].rho)
-        assert np.array_equal(stacked[8].posterior.nu, init[8].nu)
-        assert np.array_equal(stacked[8].posterior.rho, init[8].rho)
+        x0 = np.array([np.concatenate((p.nu, p.rho)) for p in init])
+        for ridge in (False, True):
+            def solve(t):
+                return (infer_frames(W[:, t], model, init=init[t]) if ridge
+                        else _solve(W[:, t], model, x0[t]))
+            batches = []
+            phi_rows(monkeypatch, batches)
+            monkeypatch.setattr(optim, "_width", lambda _: 5)
+            stacked = solve(slice(None))
+            assert max(map(len, batches)) == 5
+            assert ridge or any(np.any(rows < 5) and np.any(rows >= 5) for rows in batches)
+            monkeypatch.undo()
+            for t, b in enumerate(stacked):
+                (a,) = solve(slice(t, t + 1))
+                assert np.array_equal(a.posterior.nu, b.posterior.nu)
+                assert np.array_equal(a.posterior.rho, b.posterior.rho)
+                assert a.elbo == b.elbo
+                assert a.status == b.status
+            assert [r.status for r in stacked].count("converged") == 11
+            assert stacked[6].status == FAILED_START
+            assert np.array_equal(stacked[6].posterior.rho, init[6].rho)
+            assert np.array_equal(stacked[8].posterior.nu, init[8].nu)
+            assert np.array_equal(stacked[8].posterior.rho, init[8].rho)
 
     def test_one_frame_calls_equal_multi_chunk_call(self, rng, monkeypatch):
         model = random_model(rng, 8, 3)
@@ -682,7 +692,7 @@ class TestInferFrames:
         # about 26 with an |eigenvalue|-modified step in place of the step
         # on C
         model = bench_inputs()[0]
-        iters = newton_iterations(monkeypatch, [default_posterior_init(model, 1, 0)])
+        iters = newton_iterations(monkeypatch, default_posterior_init(model, 1, 0))
         assert np.mean(iters) <= 13.0
 
     @pytest.mark.parametrize("seed", [201, 202])
@@ -787,6 +797,39 @@ class TestDefaultStarts:
         assert all(math.isfinite(elbo(W[:, t], model, FramePosterior(nu[t], rho[t])))
                    for t in range(6))
 
+    def test_no_init_is_an_init_at_the_prior_mean_point(self):
+        # the benchmark's traced run solves each frame alone from the
+        # prior-mean point; it must get the bits of the cold batch
+        model, W = bench_inputs(frames=12, seed=8)
+        data, point = floor_observations(W), default_posterior_init(model, 0, 0)
+        for t, a in enumerate(infer_frames(W, model)):
+            (b,) = infer_frames(data[:, t:t + 1], model, init=[point])
+            assert np.array_equal(a.posterior.nu, b.posterior.nu)
+            assert np.array_equal(a.posterior.rho, b.posterior.rho)
+            assert a.elbo == b.elbo and a.status == b.status
+
+    def test_an_init_gives_way_only_to_a_higher_ridge_bound(self, monkeypatch):
+        # a warm start at a converged posterior is kept; the prior-mean
+        # point, whose bound is lower than the ridge start's, is not
+        model, W = bench_inputs(frames=2, seed=8)
+        data, point = floor_observations(W), default_posterior_init(model, 0, 0)
+        ridge = _default_starts(data, model)
+        warm = infer_frames(data[:, :1], model)[0].posterior
+        L = model.n_filters
+        assert elbo(data[:, 1], model, point) < elbo(
+            data[:, 1], model, FramePosterior(ridge[1, :L], ridge[1, L:]))
+        estep = importlib.import_module("pof.estep")
+        solve, starts = estep.minimize, []
+
+        def recorded(phi, y0, *args):
+            starts.append(y0.copy())
+            return solve(phi, y0, *args)
+
+        monkeypatch.setattr(estep, "minimize", recorded)
+        infer_frames(data, model, init=[warm, point])
+        assert np.array_equal(starts[0][0], np.log(np.concatenate((warm.nu, warm.rho))))
+        assert np.array_equal(starts[0][1], np.log(ridge[1]))
+
     @pytest.mark.parametrize("gain", [1e-6, 1e6])
     def test_every_frame_converges_at_extreme_input_gains(self, gain):
         # the model has no gain term, and the clip keeps the start's mean
@@ -808,7 +851,8 @@ class TestDefaultStarts:
         model, W = bench_inputs()
         point = default_posterior_init(model, 0, 0)
         cold = infer_frames(W, model)
-        fixed = infer_frames(W, model, init=[point] * W.shape[1])
+        fixed = _solve(floor_observations(W), model,
+                       np.tile(np.concatenate((point.nu, point.rho)), (W.shape[1], 1)))
         assert all(r.status == "converged" for r in cold + fixed)
         for a, b in zip(cold, fixed):
             assert abs(a.elbo - b.elbo) <= 1e-12 * abs(b.elbo)
