@@ -16,7 +16,6 @@ framing the model's training spectrograms are assumed to have.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .dsp import AudioClip, StftConfig, stft_magnitude
 from .errors import ValidationError
 from .estep import infer_frames
 from .model import BandMask, FramePosterior, PoFModel, Spectrogram
-from .optim import ZERO_PROGRESS
+from .optim import FAILED_START, ZERO_PROGRESS
 from .specfn import _digamma
 
 __all__ = ["BweResult", "restrict_model", "expand", "reconstruct_point"]
@@ -68,9 +67,9 @@ def expand(source, model: PoFModel, mask: BandMask) -> BweResult:
     starts from infer_frames' cold start under the restricted model, which
     depends on the frame's observed rows alone, so the result depends on
     the source, the model and the mask alone. Frames whose inference fails
-    (a non-finite bound) or makes no progress (status ZERO_PROGRESS, whose
-    posterior is only that start) fall back to the prior (alpha, alpha),
-    whose mean is E[a] = 1: their estimate is exp(E[log W]) at a = 1. All
+    (FAILED_START, the one status with bound -inf) or makes no progress
+    (ZERO_PROGRESS: the posterior is that start) fall back to the prior
+    (alpha, alpha), of mean E[a] = 1, and so to exp(E[log W]) at a = 1. All
     frames are reconstructed in one call of reconstruct_point.
     """
     if isinstance(source, AudioClip):
@@ -90,7 +89,7 @@ def expand(source, model: PoFModel, mask: BandMask) -> BweResult:
     observed = mask.select(spec.data, model.n_bins)
     sub = restrict_model(model, mask)
     results = infer_frames(observed, sub)
-    inferred = [math.isfinite(r.elbo) and r.status != ZERO_PROGRESS for r in results]
+    inferred = [r.status not in (ZERO_PROGRESS, FAILED_START) for r in results]
     posteriors = [r.posterior if k else FramePosterior(model.alpha, model.alpha)
                   for r, k in zip(results, inferred)]
 

@@ -159,15 +159,14 @@ class _Frames:
         rho_min = _rho_min(model.U)
         self.lower = np.concatenate((np.zeros_like(rho_min), rho_min))
 
-    def _terms(self, x, derivs, rows):
+    def _terms(self, x, rows):
         """L at each row (nu, rho) of x (m, 2L) for the frames rows, with no
-        row marked yet: v (m,) and good, the rows inside the box nu > 0,
-        rho > rho_min whose v (and, with derivs=1, gradient) is finite; with
-        derivs=1 also the gradient g (m, 2L) and what the Hessian is formed
-        from: the buffer, its halves now log1p(r) and B = U / (rho + U), c
-        (m, F), cb = sum_f c_f B (m, L), ea = nu / rho, k = (gamma U +
-        alpha) / rho^2 and alpha psi_2 + h'' (m, L). Call it under errstate.
-        """
+        row marked yet: v (m,), its gradient g (m, 2L), good, the rows inside
+        the box nu > 0, rho > rho_min whose v and g are finite, and what the
+        Hessian is formed from: the buffer, its halves now log1p(r) and B =
+        U / (rho + U), c (m, F), cb = sum_f c_f B (m, L), ea = nu / rho, k =
+        (gamma U + alpha) / rho^2 and alpha psi_2 + h'' (m, L). Call it under
+        errstate."""
         L, F = self.UT.shape
         alpha, gu = self.alpha, self.gu
         nu, rho = x[:, :L], x[:, L:]
@@ -178,33 +177,27 @@ class _Frames:
         # c_f = gamma_f w_f exp(S_f), S_f = -sum_l nu_l log1p(U_fl / rho_l)
         c = self.gw[rows] * np.exp(-(nu[:, None, :] @ jac[:, :L])[:, 0])
         ea = nu / rho
-        _, psi, psi1, psi2, ent, ent1, ent2 = _gamma_fns(nu, bound=True)
+        _, psi, psi1, psi2, ent, ent1, ent2, _, _ = _gamma_fns(nu)
         v = (self.const[rows] - (gu * ea).sum(axis=1) - c.sum(axis=1)
              + (alpha * psi + ent - alpha * (np.log(rho) + ea)).sum(axis=1))
-        good = np.all(x > self.lower, axis=1) & np.isfinite(v)
-        if not derivs:
-            return v, None, good, None
         np.divide(r, r + 1.0, out=r)                  # B = U / (rho + U)
         # dS / d(nu, rho) = (-log1p(r), ea B): g needs sum_f c log1p(r), c B
         cl, cb = np.split((jac @ c[:, :, None])[:, :, 0], 2, axis=1)
         k = (gu + alpha) / (rho * rho)
         g = np.concatenate((cl + alpha * psi1 + ent1 - (gu + alpha) / rho,
                             k * nu - alpha / rho - ea * cb), axis=1)
-        good &= np.all(np.isfinite(g), axis=1)
+        good = np.all(x > self.lower, axis=1) & np.isfinite(v) & np.isfinite(g).all(axis=1)
         return v, g, good, (jac, c, cb, ea, k, alpha * psi2 + ent2)
 
-    def bound(self, x: np.ndarray, derivs: int = 0, rows=slice(None)):
+    def bound(self, x: np.ndarray, rows=slice(None)):
         """L at each row (nu, rho) of x (m, 2L), for the frames rows (all by
-        default), and, with derivs=1, its gradient (m, 2L), else None. A row
-        outside the box nu > 0, rho > rho_min, or whose bound or gradient is
-        not finite, has bound -inf and a NaN gradient.
+        default), and its gradient (m, 2L). A row outside the box nu > 0,
+        rho > rho_min, or whose bound or gradient is not finite, has bound
+        -inf and a NaN gradient.
         """
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            v, g, good, _ = self._terms(x, derivs, rows)
-        if not good.all():
-            v[~good] = -math.inf
-            if g is not None:
-                g[~good] = math.nan
+            v, g, good, _ = self._terms(x, rows)
+        v[~good], g[~good] = -math.inf, math.nan
         return v, g
 
     def objective(self, batch):
@@ -218,7 +211,7 @@ class _Frames:
         L = self.UT.shape[0]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             x = np.exp(y)
-            v, g, good, (jac, c, cb, ea, k, shape2) = self._terms(x, 1, rows)
+            v, g, good, (jac, c, cb, ea, k, shape2) = self._terms(x, rows)
             g *= -x                                       # g_y
             nu, rho = x[:, :L], x[:, L:]
             # the Gram term sum_f c_f dS_f dS_f^T, with dS_f / dy =
@@ -297,18 +290,25 @@ def _abs_2x2(a, b, c):
                  for e, f in zip((a, b, c), indefinite))
 
 
+def _posterior_rows(posts, model: PoFModel) -> np.ndarray:
+    """The rows (nu, rho) of posts, (n, 2L); each must have L entries."""
+    if any(p.nu.size != model.n_filters for p in posts):
+        raise ValidationError(f"posteriors must have L={model.n_filters} entries")
+    return np.array([np.concatenate((p.nu, p.rho)) for p in posts])
+
+
 def elbo(w, model: PoFModel, post: FramePosterior) -> float:
-    """Variational lower bound for one frame; -inf iff some U_fl <= -rho_l."""
+    """Variational lower bound for one frame; -inf iff some U_fl <= -rho_l or
+    the bound or its gradient overflows (as for nu_l below about 1e-154)."""
     w = _check_frame(w, model)
-    value, _ = _Frames(w[None], model).bound(np.concatenate((post.nu, post.rho))[None])
+    value, _ = _Frames(w[None], model).bound(_posterior_rows([post], model))
     return float(value[0])
 
 
 def elbo_grad(w, model: PoFModel, post: FramePosterior) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (d/d nu, d/d rho) of the bound at a feasible point."""
     w = _check_frame(w, model)
-    value, grad = _Frames(w[None], model).bound(
-        np.concatenate((post.nu, post.rho))[None], derivs=1)
+    value, grad = _Frames(w[None], model).bound(_posterior_rows([post], model))
     if not math.isfinite(value[0]):
         raise NumericalError("gradient requested at an infeasible point")
     L = model.n_filters
@@ -328,7 +328,7 @@ def _default_starts(data: np.ndarray, model: PoFModel) -> np.ndarray:
     U^T Psi^-1 U + diag alpha, Psi = diag psi_1(gamma); rho = m diag A, at
     least 2 rho_min, and nu = m rho. No start depends on another frame."""
     U, alpha, gamma = model.U, model.alpha, model.gamma
-    _, psi, psi1 = _gamma_fns(gamma)
+    _, psi, psi1, *_ = _gamma_fns(gamma)
     UTw = U.T / psi1
     A = UTw @ U + np.diag(alpha)
     K = np.linalg.solve(A, UTw)
@@ -374,7 +374,7 @@ def _solve(data: np.ndarray, model: PoFModel, x0: np.ndarray,
         # the two bounds of a chunk of frames take less than its solve
         x0, other, step = x0.copy(), _default_starts(data, model), _width(row_bytes)
         for rows in (slice(t, t + step) for t in range(0, len(x0), step)):
-            given, mine = (frames.bound(x[rows], 1, rows)[0] for x in (x0, other))
+            given, mine = (frames.bound(x[rows], rows)[0] for x in (x0, other))
             better = np.isfinite(given) & (mine > given)
             x0[rows][better] = other[rows][better]
     y0 = np.log(x0)
@@ -411,15 +411,12 @@ def infer_frames(
         raise ValidationError(
             f"spectrogram has {data.shape[0]} bins, model expects {model.n_bins}"
         )
-    T, L = data.shape[1], model.n_filters
+    T = data.shape[1]
     if init is None:
         init = [default_posterior_init(model, 0, 0)] * T
     if len(init) != T:
         raise ValidationError("init list length must equal the number of frames")
-    if any(p.nu.size != L for p in init):
-        raise ValidationError(f"initial posteriors must have L={L} entries")
-    x0 = np.array([np.concatenate((p.nu, p.rho)) for p in init])
-    return _solve(data, model, x0, ridge=True)
+    return _solve(data, model, _posterior_rows(init, model), ridge=True)
 
 
 def dump_posteriors(results: list[FrameResult], path) -> None:

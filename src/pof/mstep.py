@@ -78,6 +78,8 @@ class SufficientStats:
     def from_posteriors(cls, posteriors: list[FramePosterior]) -> "SufficientStats":
         if not posteriors:
             raise ValidationError("need at least one posterior")
+        if len({p.nu.size for p in posteriors}) > 1:
+            raise ValidationError("posteriors must all have the same number of entries")
         nu = np.stack([p.nu for p in posteriors], axis=1)
         rho = np.stack([p.rho for p in posteriors], axis=1)
         return cls(
@@ -181,10 +183,14 @@ def _solve_shape(c: np.ndarray) -> np.ndarray:
 
     Minka's initial value (3 - c + sqrt((c - 3)^2 + 24 c)) / (12 c), then
     generalised Newton steps on 1/x. The initial value is evaluated as
-    2 / (c (1 + (c + 18) / (sqrt((c - 3)^2 + 24 c) + 3))), whose terms are
-    all positive: the textbook form cancels to 0 for c >~ 1e18.
+    1 / (c (1 + q) / 2), q = (c + 18) / (sqrt((c - 3)^2 + 24 c) + 3), with
+    no cancellation (the textbook form gives 0 for c >~ 1e18) and no
+    overflow: q is formed at min(c, 1e20), past which it is 1 and 1/c the
+    root to rounding. The step is 0 once psi_1(x) overflows (c >~ 1e154).
     """
-    x = 2.0 / (c * (1.0 + (c + 18.0) / (np.sqrt((c - 3.0) ** 2 + 24.0 * c) + 3.0)))
+    cap = np.minimum(c, 1e20)
+    q = (cap + 18.0) / (np.sqrt((cap - 3.0) ** 2 + 24.0 * cap) + 3.0)
+    x = 1.0 / (0.5 * c * (1.0 + q))
     for _ in range(_SHAPE_NEWTON_STEPS):
         lhs, slope = _shape_eq(x)
         x = 1.0 / (1.0 / x + (lhs - c) / (x * (x * slope)))

@@ -57,26 +57,24 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return out
 
 
-def _gamma_fns(x: np.ndarray, bound: bool = False):
-    """(log Gamma(x), psi(x), psi_1(x)) for x > 0, from one upward
-    recurrence; with bound, also (psi_2(x), h(x), h'(x), h''(x)), where
+def _gamma_fns(x: np.ndarray):
+    """log Gamma(x), psi(x), psi_1(x), psi_2(x), h(x), h'(x), h''(x),
+    log x - psi(x) and 1/x - psi_1(x) for x > 0, from one upward recurrence:
 
         h(x) = log Gamma(x) - x psi(x) + x,   h' = 1 - x psi_1,
         h'' = -(psi_1 + x psi_2)
 
-    is the shape part of the gamma entropy and of the E-step bound.
+    is the shape part of the gamma entropy and of the E-step bound, and
+    log x - psi(x) = c is the shape equation of the M-step.
 
     Entries below 8 are shifted to z = x + 8 through
     Gamma(x) = Gamma(x + 8) / (x (x+1) ... (x+7)). The four asymptotic
     series share log z, 1/z and the powers of 1/z**2, so one matrix product
     gives all four Bernoulli tails, and the shift's product and reciprocal
-    sums come from one (8, n) array. h and its derivatives take their own
-    series from the same tails: formed from the functions above, the terms
-    of size x log x cancel and leave an absolute error near
-    eps x log x (several thousand at x = 1e18). The E-step bound and its
-    Hessian need all of these at once. On short vectors the cost is per
-    numpy call: the first three cost little together, and the rest, about
-    twenty more calls, are made only for the callers that ask for them.
+    sums come from one (8, n) array. h, the shape equation and their
+    derivatives take their own series from the same tails: formed from the
+    functions above they cancel, h to an error near eps x log x (thousands
+    at x = 1e18) and the shape equation to noise once x nears 1/eps.
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
@@ -90,33 +88,33 @@ def _gamma_fns(x: np.ndarray, bound: bool = False):
     lng = (z - 0.5) * log_z - z + _HALF_LOG_TWO_PI + lng_tail * inv_z
     psi = log_z - 0.5 * inv_z - psi_tail * inv_sq
     psi1 = inv_z + 0.5 * inv_sq + psi1_tail * inv_sq * inv_z
-    if bound:
-        psi2 = -inv_sq * (1.0 + inv_z + psi2_tail * inv_sq)
-        ent = 0.5 - 0.5 * log_z + _HALF_LOG_TWO_PI + (lng_tail + psi_tail) * inv_z
-        ent1 = -inv_z * (0.5 + psi1_tail * inv_z)
-        ent2 = inv_sq * (0.5 + (psi2_tail - psi1_tail) * inv_z)
-    if small.any():
-        # The product overflows only on the large branch, which where()
-        # discards. The reciprocal is raised to powers, not x: x * x
-        # underflows to 0 below about 1e-154, and psi_1 ~ 1/x**2 and
-        # psi_2 ~ -2/x**3 must overflow quietly to +-inf instead of dividing
-        # by zero. Below 8, h and its derivatives lose at most a digit when
-        # formed from the functions themselves.
-        with np.errstate(over="ignore", invalid="ignore"):
-            shifted = x + _SHIFTS
-            inv = 1.0 / shifted
-            inv_sq_sh = inv * inv
-            lng = np.where(small, lng - np.log(shifted.prod(axis=0)), lng)
-            psi = np.where(small, psi - inv.sum(axis=0), psi)
-            psi1 = np.where(small, psi1 + inv_sq_sh.sum(axis=0), psi1)
-            if bound:
-                psi2 = np.where(small, psi2 - 2.0 * (inv_sq_sh * inv).sum(axis=0), psi2)
-                ent = np.where(small, lng - x * psi + x, ent)
-                ent1 = np.where(small, 1.0 - x * psi1, ent1)
-                ent2 = np.where(small, -(psi1 + x * psi2), ent2)
+    psi2 = -inv_sq * (1.0 + inv_z + psi2_tail * inv_sq)
+    ent = 0.5 - 0.5 * log_z + _HALF_LOG_TWO_PI + (lng_tail + psi_tail) * inv_z
+    ent1 = -inv_z * (0.5 + psi1_tail * inv_z)
+    ent2 = inv_sq * (0.5 + (psi2_tail - psi1_tail) * inv_z)
+    eq = inv_z * (0.5 + psi_tail * inv_z)
+    eq1 = -inv_sq * (0.5 + psi1_tail * inv_z)
+    # The product overflows only on the large branch, which where()
+    # discards. The reciprocal is raised to powers, not x: x * x
+    # underflows to 0 below about 1e-154, and psi_1 ~ 1/x**2 and
+    # psi_2 ~ -2/x**3 must overflow quietly to +-inf instead of dividing
+    # by zero. Below 8, h, the shape equation and their derivatives lose
+    # at most a digit when formed from the functions themselves.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = x + _SHIFTS
+        inv = 1.0 / shifted
+        inv_sq_sh = inv * inv
+        lng = np.where(small, lng - np.log(shifted.prod(axis=0)), lng)
+        psi = np.where(small, psi - inv.sum(axis=0), psi)
+        psi1 = np.where(small, psi1 + inv_sq_sh.sum(axis=0), psi1)
+        psi2 = np.where(small, psi2 - 2.0 * (inv_sq_sh * inv).sum(axis=0), psi2)
+        ent = np.where(small, lng - x * psi + x, ent)
+        ent1 = np.where(small, 1.0 - x * psi1, ent1)
+        ent2 = np.where(small, -(psi1 + x * psi2), ent2)
+        eq = np.where(small, np.log(x) - psi, eq)
+        eq1 = np.where(small, 1.0 / x - psi1, eq1)
     lng = np.where((x == 1.0) | (x == 2.0), 0.0, lng)
-    out = (lng, psi, psi1) + ((psi2, ent, ent1, ent2) if bound else ())
-    return tuple(v.reshape(shape) for v in out)
+    return tuple(v.reshape(shape) for v in (lng, psi, psi1, psi2, ent, ent1, ent2, eq, eq1))
 
 
 def _ln_gamma(x: np.ndarray) -> np.ndarray:
@@ -128,18 +126,8 @@ def _digamma(x: np.ndarray) -> np.ndarray:
 
 
 def _shape_eq(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log x - psi(x), 1/x - psi_1(x)) for a vector x > 0: the left side
-    of the shape equation and its derivative. From x = 8 on both come from
-    the Bernoulli tails alone, 0.5/x + psi_tail/x**2 and
-    -(0.5/x**2 + psi1_tail/x**3); formed from psi and psi_1 they cancel,
-    to noise once x nears 1/eps.
-    """
-    _, psi, psi1 = _gamma_fns(x)
-    inv = 1.0 / np.maximum(x, 8.0)
-    psi_tail, psi1_tail = _TAIL_COEF[1:3] @ ((inv * inv) ** _TAIL_POW)
-    large = x >= 8.0
-    return (np.where(large, inv * (0.5 + psi_tail * inv), np.log(x) - psi),
-            np.where(large, -inv * inv * (0.5 + psi1_tail * inv), 1.0 / x - psi1))
+    """(log x - psi(x), 1/x - psi_1(x)): the shape equation and its slope."""
+    return _gamma_fns(x)[7:]
 
 
 def ln_gamma(x):

@@ -62,7 +62,7 @@ def gamma_entropy(q: GammaParams):
     psi(shape) + h(shape) - log(rate) (see specfn._gamma_fns) so that it
     does not cancel at large shape.
     """
-    _, psi, _, _, ent, _, _ = _gamma_fns(np.asarray(q.shape, dtype=float), bound=True)
+    _, psi, _, _, ent, *_ = _gamma_fns(np.asarray(q.shape, dtype=float))
     out = psi + ent - np.log(np.asarray(q.rate, dtype=float))
     return _maybe_scalar(out, _like(q))
 

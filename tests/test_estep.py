@@ -141,6 +141,13 @@ class TestElbo:
         with pytest.raises(ValidationError):
             elbo(np.ones(5), model, post)
 
+    @pytest.mark.parametrize("fn", [elbo, elbo_grad])
+    @pytest.mark.parametrize("L", [2, 4])
+    def test_posterior_of_another_length_rejected(self, rng, fn, L):
+        model = random_model(rng, 6, 3)
+        with pytest.raises(ValidationError, match="L=3"):
+            fn(random_frame(rng, model), model, FramePosterior(np.ones(L), np.full(L, 2.0)))
+
     def test_rejects_zero_entries(self, rng):
         model = random_model(rng, 3, 2)
         post = random_feasible_posterior(rng, model)
@@ -328,12 +335,11 @@ class TestCurvature:
 
 
 class TestOneEvaluationPath:
-    """bound and the objective share the code that forms the value and the
-    gradient, so what is asked for must not change what is returned
-    besides."""
+    """elbo, elbo_grad, bound and the objective share the code that forms
+    the value and the gradient."""
 
     @pytest.mark.parametrize("F, L", [(6, 3), (129, 20)])
-    def test_value_and_gradient_do_not_depend_on_derivs(self, rng, F, L):
+    def test_bound_agrees_with_elbo_and_objective(self, rng, F, L):
         for _ in range(3):
             model = random_model(rng, F, L)
             w = random_frame(rng, model)
@@ -343,18 +349,19 @@ class TestOneEvaluationPath:
             outside[0, L:] = 0.5 * frames.lower[L:]        # rho inside the barrier
             outside[1, 0] = -1.0                           # nu < 0
             x = np.concatenate((x, outside))
-            (v0, g0), (v1, g1) = (frames.bound(x, derivs=d) for d in (0, 1))
-            assert g0 is None
-            assert np.all(v0[-2:] == -math.inf) and np.all(np.isnan(g1[-2:]))
-            assert np.all(np.isfinite(v0[:-2]))
-            assert np.array_equal(v0, v1)
+            v, g = frames.bound(x)
+            assert np.all(v[-2:] == -math.inf) and np.all(np.isnan(g[-2:]))
+            assert np.all(np.isfinite(v[:-2])) and np.all(np.isfinite(g[:-2]))
+            post = FramePosterior(x[0, :L], x[0, L:])
+            assert elbo(w, model, post) == v[0]
+            assert np.array_equal(np.concatenate(elbo_grad(w, model, post)), g[0])
             # the objective at y = log x: -L and g_y = -x g at exp(y); the
             # row inside the barrier may have rho = 0
             with np.errstate(divide="ignore"):
                 y = np.log(x[:-1])
             rows = np.arange(len(y))
             value, grad, _, _ = frames.objective((rows, y))
-            v, g = frames.bound(np.exp(y), derivs=1, rows=rows)
+            v, g = frames.bound(np.exp(y), rows)
             assert np.array_equal(value, -v) and value[-1] == math.inf
             assert np.array_equal(grad[:-1], -np.exp(y[:-1]) * g[:-1])
 
@@ -588,6 +595,20 @@ class TestInferFrames:
         with pytest.raises(ValidationError):
             infer_frames(rng.lognormal(size=(6, 1)), model,
                          init=[FramePosterior(np.ones(3), np.ones(3))])
+
+    def test_bound_is_neg_inf_exactly_on_failed_starts(self):
+        # what expand's fallback relies on: minimize leaves f = +inf only on
+        # rows whose start is infeasible, here frame 3's init in each input
+        results = []
+        for scale in (1.0, 1e100):
+            W, model = huge_bin_problem(scale)
+            init = [default_posterior_init(model, 0, 0)] * W.shape[1]
+            init[3] = FramePosterior(init[3].nu, np.full(2, -0.5 * model.U.min()))
+            assert elbo(floor_observations(W)[:, 3], model, init[3]) == -math.inf
+            results += infer_frames(W, model, init=init)
+        statuses = [r.status for r in results]
+        assert [r.elbo == -math.inf for r in results] == [s == FAILED_START for s in statuses]
+        assert statuses.count(FAILED_START) == 2 and "line_search_failed" in statuses
 
     def test_singular_newton_system_ends_its_frame(self):
         # a frame whose Newton system LU cannot solve gets a status; the

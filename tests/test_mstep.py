@@ -44,6 +44,12 @@ def trivial_problem():
     return W, model, SufficientStats.from_posteriors(posts)
 
 
+def test_sufficient_stats_reject_posteriors_of_mixed_lengths():
+    posts = [FramePosterior(np.ones(3), np.ones(3)), FramePosterior(np.ones(2), np.ones(2))]
+    with pytest.raises(ValidationError, match="same number"):
+        SufficientStats.from_posteriors(posts)
+
+
 class TestQObjective:
     def test_hand_computed_trivial_case(self):
         W, model, stats = trivial_problem()
@@ -402,8 +408,9 @@ class TestURowNewton:
 class TestSolveShape:
     def test_residual_over_range(self):
         # the residual is relative to c; log x - psi(x) is taken from
-        # _shape_eq, since log(x) - _digamma(x) cancels at x ~ 1/(2c)
-        c = np.logspace(-20, 30, 2001)
+        # _shape_eq, since log(x) - _digamma(x) cancels at x ~ 1/(2c); past
+        # c = 1e154, (c - 3)**2 and psi_1(x) overflow
+        c = np.logspace(-20, 300, 12801)
         x = _solve_shape(c)
         assert np.all(x > 0)
         assert np.max(np.abs(_shape_eq(x)[0] - c) / c) < 1e-12
